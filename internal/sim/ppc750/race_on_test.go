@@ -1,0 +1,8 @@
+//go:build race
+
+package ppc750
+
+// raceEnabled reports that this binary was built with the race
+// detector, whose instrumentation allocates and slows simulation;
+// allocation-count assertions skip themselves under it.
+const raceEnabled = true

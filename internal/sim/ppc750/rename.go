@@ -66,6 +66,18 @@ func trackedDsts(ins *ppc.Instr) (out []int, gprs int) {
 	return out, gprs
 }
 
+// ref names a producer operation by its op slot and the slot's
+// generation when the producer was fetched. The zero ref names no
+// producer (fetch numbers generations from 1). Once the slot is
+// refetched the ref is stale: its producer has retired, and retired
+// producers are ready — a slot is only refetched after its previous
+// operation's result time has passed (fetchOne enforces this), and
+// result times never move after issue.
+type ref struct {
+	slot int
+	gen  uint64
+}
+
 // renamer is the register-file module of the 750 model: it combines
 // the architected register files with their rename buffers. Rather
 // than tracking values (the ISS executes in order at dispatch and is
@@ -80,29 +92,48 @@ type renamer struct {
 	// operations; when one is reached at BeginStep, readiness
 	// inquiries that previously failed can now succeed.
 	resultTimes []uint64
-	lastWriter  [numIdx]*op
+	lastWriter  [numIdx]ref
+	// slots is the model's op-slot table (Sim.slots), which refs index.
+	slots []op
 	// Rename-buffer pool for GPR destinations.
 	bufCap, bufUsed int
-	undo            map[*osm.Machine][]undoEntry
-
-	// snapIdx and snapOps are installed by Sim.Snapshot/Restore around
-	// the director snapshot so the Snapshotter methods can encode
-	// lastWriter entries as op-table indices.
-	snapIdx map[*op]int
-	snapOps []*op
+	// pending counts WriterToken grants not yet committed or
+	// cancelled; each keeps its undo log in its op (op.undo).
+	pending int
 }
 
+// undoEntry records one newest-writer entry an uncommitted grant
+// overwrote.
 type undoEntry struct {
 	idx  int
-	prev *op
+	prev ref
 }
 
 func newRenamer(renameBuffers int) *renamer {
 	return &renamer{
 		BaseManager: osm.BaseManager{ManagerName: "regfiles+rename"},
 		bufCap:      renameBuffers,
-		undo:        make(map[*osm.Machine][]undoEntry),
 	}
+}
+
+// live returns the operation p names, or nil when p is the zero ref
+// or its producer has retired.
+func (r *renamer) live(p ref) *op {
+	if p.gen == 0 {
+		return nil
+	}
+	if o := &r.slots[p.slot]; o.gen == p.gen {
+		return o
+	}
+	return nil
+}
+
+// ready reports whether the producer p names has delivered its result
+// by the current step: the zero ref and retired producers always
+// have.
+func (r *renamer) ready(p ref) bool {
+	o := r.live(p)
+	return o == nil || o.resultAt <= r.cycle
 }
 
 // BeginStep tracks the current control step (osm.Stepper) and wakes
@@ -134,11 +165,6 @@ func (r *renamer) noteResult(at uint64) { r.resultTimes = append(r.resultTimes, 
 // BeginStep.
 func (r *renamer) SleepSafeManager() bool { return true }
 
-func (r *renamer) srcReady(idx int) bool {
-	w := r.lastWriter[idx]
-	return w == nil || w.resultAt <= r.cycle
-}
-
 // Inquire implements both operand checks. SrcsToken consults the
 // newest-writer table (valid only at dispatch time, before the
 // requester registers itself); DepsToken consults the producer set
@@ -152,14 +178,14 @@ func (r *renamer) Inquire(m *osm.Machine, id osm.TokenID) bool {
 			return true // surfaces as a dispatch-time model error
 		}
 		for _, s := range o.srcs {
-			if !r.srcReady(s) {
+			if !r.ready(r.lastWriter[s]) {
 				return false
 			}
 		}
 		return true
 	case DepsToken:
 		for _, dep := range o.deps {
-			if dep.resultAt > r.cycle {
+			if !r.ready(dep) {
 				return false
 			}
 		}
@@ -184,23 +210,25 @@ func (r *renamer) Allocate(m *osm.Machine, id osm.TokenID) (osm.Token, bool) {
 	if r.bufUsed+gprs > r.bufCap {
 		return osm.Token{}, false
 	}
+	self := o.ref()
 	o.deps = o.deps[:0]
 	for _, s := range o.srcs {
-		// Capture every in-flight producer, including one already
+		// Capture every live producer, including one already
 		// executing: readiness is judged against its result time at
-		// issue, so an already-retired producer is harmlessly ready.
-		if w := r.lastWriter[s]; w != nil && w != o {
+		// issue. A retired producer (stale ref) is ready for good, so
+		// it is not captured.
+		if w := r.lastWriter[s]; w != self && r.live(w) != nil {
 			o.deps = append(o.deps, w)
 		}
 	}
 	r.bufUsed += gprs
 	o.renameBufs = gprs
-	var undos []undoEntry
+	o.undo = o.undo[:0]
 	for _, d := range dsts {
-		undos = append(undos, undoEntry{idx: d, prev: r.lastWriter[d]})
-		r.lastWriter[d] = o
+		o.undo = append(o.undo, undoEntry{idx: d, prev: r.lastWriter[d]})
+		r.lastWriter[d] = self
 	}
-	r.undo[m] = undos
+	r.pending++
 	return osm.Token{Mgr: r, ID: WriterToken}, true
 }
 
@@ -208,15 +236,19 @@ func (r *renamer) Allocate(m *osm.Machine, id osm.TokenID) (osm.Token, bool) {
 func (r *renamer) CancelAllocate(m *osm.Machine, t osm.Token) {
 	o := opOf(m)
 	r.bufUsed -= o.renameBufs
-	undos := r.undo[m]
-	for i := len(undos) - 1; i >= 0; i-- {
-		r.lastWriter[undos[i].idx] = undos[i].prev
+	for i := len(o.undo) - 1; i >= 0; i-- {
+		r.lastWriter[o.undo[i].idx] = o.undo[i].prev
 	}
-	delete(r.undo, m)
+	o.undo = o.undo[:0]
+	r.pending--
 }
 
 // CommitAllocate discards the undo log; the registration stands.
-func (r *renamer) CommitAllocate(m *osm.Machine, t osm.Token) { delete(r.undo, m) }
+func (r *renamer) CommitAllocate(m *osm.Machine, t osm.Token) {
+	o := opOf(m)
+	o.undo = o.undo[:0]
+	r.pending--
+}
 
 // Release accepts the writer token back at completion.
 func (r *renamer) Release(m *osm.Machine, t osm.Token) bool { return true }
@@ -239,24 +271,26 @@ func (r *renamer) CanAllocate(m *osm.Machine, id osm.TokenID) bool {
 func (r *renamer) CanRelease(m *osm.Machine, t osm.Token) bool { return true }
 
 // CommitRelease frees the rename buffers. The newest-writer table
-// keeps its pointer: a completed producer's resultAt is in the past,
-// so readers see it as ready, and dropping the entry eagerly would
-// race younger registered writers.
+// keeps its ref: until the slot is refetched the completed producer's
+// resultAt is in the past, and afterwards the ref is stale; either way
+// readers see it as ready, and dropping the entry eagerly would race
+// younger registered writers.
 func (r *renamer) CommitRelease(m *osm.Machine, t osm.Token) {
 	r.bufUsed -= opOf(m).renameBufs
 }
 
 // Discarded reclaims the buffers of a squashed operation and unhooks
-// it from the newest-writer table.
+// its live ref from the newest-writer table. Only held (committed)
+// tokens are discarded, so no undo log is open.
 func (r *renamer) Discarded(m *osm.Machine, t osm.Token) {
 	o := opOf(m)
 	r.bufUsed -= o.renameBufs
+	self := o.ref()
 	for i := range r.lastWriter {
-		if r.lastWriter[i] == o {
-			r.lastWriter[i] = nil
+		if r.lastWriter[i] == self {
+			r.lastWriter[i] = ref{}
 		}
 	}
-	delete(r.undo, m)
 	// A squashed writer disappearing can make sources ready; Discarded
 	// is also reachable outside edge commits via Machine.Reset.
 	r.Wake()

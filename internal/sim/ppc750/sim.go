@@ -125,10 +125,16 @@ type decoded struct {
 	gprs  int
 }
 
-// op is the per-operation payload. Completed operations stay
-// referenced as dependence producers, so each dynamic operation gets
-// its own op value (no pooling).
+// op is the per-operation payload. The model owns one op slot per
+// machine (Sim.slots), bound to the machine's Ctx at build time; every
+// fetch resets the slot in place and keeps its slices' capacity, so
+// the steady state allocates nothing and the live operation state is
+// bounded by the machine population. gen counts the operations the
+// slot has held: producer references (ref) carry the generation they
+// were taken at, and a stale generation names a retired producer.
 type op struct {
+	slot          int
+	gen           uint64
 	pc            uint32
 	ins           ppc.Instr
 	decodeOK      bool
@@ -137,7 +143,8 @@ type op struct {
 	actualNext    uint32
 	indirect      bool
 	redirect      bool
-	deps          []*op
+	deps          []ref
+	undo          []undoEntry // open WriterToken grant (renamer)
 	srcs, dsts    []int
 	gprDsts       int
 	resultAt      uint64
@@ -149,6 +156,32 @@ type op struct {
 }
 
 func opOf(m *osm.Machine) *op { return m.Ctx.(*op) }
+
+// ref returns a reference to the operation the slot holds now.
+func (o *op) ref() ref { return ref{slot: o.slot, gen: o.gen} }
+
+// recycle clears the slot for a new operation at pc. The new
+// generation turns every ref to the previous operation stale; the
+// slices keep their capacity.
+func (o *op) recycle(pc uint32) {
+	*o = op{slot: o.slot, gen: o.gen + 1, pc: pc, deps: o.deps[:0], undo: o.undo[:0]}
+}
+
+// SlotReuseError reports a model invariant violation: a fetch reused
+// an op slot whose previous operation's result was still in the
+// future. Producer references to that operation would then read ready
+// too early, so the simulation stops instead of going silently wrong.
+type SlotReuseError struct {
+	Slot     int
+	PC       uint32 // the retiring operation's address
+	ResultAt uint64
+	Step     uint64
+}
+
+func (e *SlotReuseError) Error() string {
+	return fmt.Sprintf("ppc750: model invariant violated: op slot %d refetched at step %d while its operation at %#x delivers its result at step %d",
+		e.Slot, e.Step, e.PC, e.ResultAt)
+}
 
 // ratedQueue is an in-order queue whose releases are limited to a
 // per-cycle bandwidth: the dispatch and completion limits of the 750.
@@ -240,6 +273,7 @@ type Sim struct {
 
 	cfg         Config
 	decodeCache map[uint32]*decoded
+	slots       []op // one per machine, in registration order
 	director    *osm.Director
 	fq, cq      *ratedQueue
 	ren         *renamer
@@ -411,8 +445,13 @@ func (s *Sim) buildModel() error {
 	for _, u := range s.units {
 		d.AddManager(u.fu, u.rs)
 	}
-	for k := 0; k < s.cfg.Machines; k++ {
-		d.AddMachine(osm.NewMachine(fmt.Sprintf("op%d", k), iSt))
+	s.slots = make([]op, s.cfg.Machines)
+	s.ren.slots = s.slots
+	for k := range s.slots {
+		s.slots[k].slot = k
+		m := osm.NewMachine(fmt.Sprintf("op%d", k), iSt)
+		m.Ctx = &s.slots[k]
+		d.AddMachine(m)
 	}
 
 	s.Kernel = de.NewKernel()
@@ -456,10 +495,16 @@ func max64(a, b uint64) uint64 {
 
 // fetchOne fetches along the predicted path: direct branches are
 // predicted by the BHT (with the BTIC hiding the taken-redirect
-// bubble); indirect branches stop fetch until they resolve.
+// bubble); indirect branches stop fetch until they resolve. The
+// machine's op slot is recycled in place for the new operation.
 func (s *Sim) fetchOne(m *osm.Machine) {
 	step := s.director.StepCount()
-	o := &op{pc: s.fetchPC}
+	o := opOf(m)
+	if o.resultAt > step && s.execErr == nil {
+		s.execErr = &SlotReuseError{Slot: o.slot, PC: o.pc, ResultAt: o.resultAt, Step: step}
+		s.fetchStop = true
+	}
+	o.recycle(s.fetchPC)
 	if lat := s.Hier.FetchLatency(s.fetchPC); lat > 0 {
 		s.fetchResumeAt = max64(s.fetchResumeAt, step+lat)
 	}
@@ -486,7 +531,6 @@ func (s *Sim) fetchOne(m *osm.Machine) {
 			s.fetchHeld = true
 		}
 	}
-	m.Ctx = o
 	s.fetchPC = o.predictedNext
 	s.fetchCount++
 }

@@ -8,63 +8,29 @@ import (
 	"repro/internal/snap"
 )
 
-// Full-simulator checkpointing. Unlike the in-order StrongARM model,
-// the 750's dynamic state includes a pointer graph: machines and the
-// renamer's newest-writer table reference per-operation op values,
-// which reference their producers through deps. A snapshot linearizes
-// the graph into an indexed op table — machines in registration
-// order, then the newest-writer entries, then the deps closure — and
-// encodes every reference as a table index. Decode-derived facts
-// (instruction, class, operand lists) are re-derived from the
-// restored RAM image; program text is immutable in this model.
+// Full-simulator checkpointing. Beyond the director and its
+// managers, the 750's dynamic state is the op-slot table: one op per
+// machine, so the snapshot's op table has exactly one entry per
+// machine and an op's index is its machine's registration ordinal.
+// Producer references (captured deps, the renamer's newest-writer
+// table) are encoded as slot ordinals, and only live ones: a stale
+// ref names a retired producer, which reads ready exactly like no
+// producer at all, so deps drop it and the newest-writer table
+// encodes it as -1. Generations are not serialized; restore starts a
+// fresh generation in every slot and binds the decoded refs to it.
+// Decode-derived facts (instruction, class, operand lists) are
+// re-derived from the restored RAM image; program text is immutable
+// in this model.
 
-const simSnapVersion = 1
+const simSnapVersion = 2
 
 const simSnapHeader = "p750"
 
-// collectOps gathers every live op reachable from the model in a
-// deterministic order and returns the table plus its index map.
-func (s *Sim) collectOps() ([]*op, map[*op]int) {
-	var ops []*op
-	idx := make(map[*op]int)
-	add := func(o *op) {
-		if o == nil {
-			return
-		}
-		if _, ok := idx[o]; !ok {
-			idx[o] = len(ops)
-			ops = append(ops, o)
-		}
-	}
-	for _, m := range s.director.Machines() {
-		if o, ok := m.Ctx.(*op); ok {
-			add(o)
-		}
-	}
-	for _, w := range s.ren.lastWriter {
-		add(w)
-	}
-	for i := 0; i < len(ops); i++ { // ops grows while walking deps
-		for _, d := range ops[i].deps {
-			add(d)
-		}
-	}
-	return ops, idx
-}
-
-func opIndex(idx map[*op]int, o *op) int {
-	if o == nil {
-		return -1
-	}
-	return idx[o]
-}
-
 // Snapshot encodes the complete simulator state.
 func (s *Sim) Snapshot() ([]byte, error) {
-	if n := len(s.ren.undo); n > 0 {
+	if n := s.ren.pending; n != 0 {
 		return nil, fmt.Errorf("ppc750: snapshot with %d uncommitted rename transactions (snapshot only between cycles)", n)
 	}
-	ops, idx := s.collectOps()
 
 	w := snap.NewWriter()
 	w.U32(snap.Magic)
@@ -94,9 +60,9 @@ func (s *Sim) Snapshot() ([]byte, error) {
 	}
 
 	w.Blob(func(w *snap.Writer) {
-		w.Int(len(ops))
-		for _, o := range ops {
-			o := o
+		w.Int(len(s.slots))
+		for i := range s.slots {
+			o := &s.slots[i]
 			w.Blob(func(w *snap.Writer) {
 				w.U32(o.pc)
 				w.U32(o.predictedNext)
@@ -109,25 +75,24 @@ func (s *Sim) Snapshot() ([]byte, error) {
 				w.U32(o.memAddr)
 				w.Bool(o.isMem)
 				w.Bool(o.isStore)
-				w.Int(len(o.deps))
+				n := 0
 				for _, d := range o.deps {
-					w.Int(opIndex(idx, d))
+					if s.ren.live(d) != nil {
+						n++
+					}
+				}
+				w.Int(n)
+				for _, d := range o.deps {
+					if s.ren.live(d) != nil {
+						w.Int(d.slot)
+					}
 				}
 			})
 		}
 	})
-	for _, m := range s.director.Machines() {
-		if o, ok := m.Ctx.(*op); ok {
-			w.Int(opIndex(idx, o))
-		} else {
-			w.Int(-1)
-		}
-	}
 
-	s.ren.snapIdx = idx
 	var derr error
 	w.Blob(func(w *snap.Writer) { derr = s.director.Snapshot(w) })
-	s.ren.snapIdx = nil
 	if derr != nil {
 		return nil, derr
 	}
@@ -176,23 +141,22 @@ func (s *Sim) Restore(data []byte) error {
 	}
 	s.fetchCount = 0 // reset at the start of every cycle
 
-	// Op table: create every op first, then wire deps and re-derive
-	// the decode facts (deps may point forward in the table).
 	tb := r.Blob()
 	nOps := tb.Int()
 	if err := tb.Err(); err != nil {
 		return err
 	}
-	if nOps < 0 || nOps > tb.Remaining() {
-		return fmt.Errorf("ppc750: implausible op count %d", nOps)
+	if nOps != len(s.slots) {
+		return fmt.Errorf("ppc750: snapshot has %d ops, model has %d machines", nOps, len(s.slots))
 	}
-	ops := make([]*op, nOps)
-	for i := range ops {
-		ops[i] = &op{}
+	// A fresh generation in every slot turns any ref left over from
+	// before the restore stale; the decoded refs bind to the new one.
+	for i := range s.slots {
+		s.slots[i].recycle(0)
 	}
-	for i := range ops {
+	for i := range s.slots {
 		b := tb.Blob()
-		o := ops[i]
+		o := &s.slots[i]
 		o.pc = b.U32()
 		o.predictedNext = b.U32()
 		o.actualNext = b.U32()
@@ -208,50 +172,33 @@ func (s *Sim) Restore(data []byte) error {
 		if err := b.Err(); err != nil {
 			return fmt.Errorf("ppc750: op %d: %w", i, err)
 		}
-		if nd < 0 || nd > nOps {
-			return fmt.Errorf("ppc750: op %d: dep count %d out of range", i, nd)
-		}
-		for j := 0; j < nd; j++ {
-			di := b.Int()
-			if b.Err() == nil && (di < 0 || di >= nOps) {
-				return fmt.Errorf("ppc750: op %d: dep index %d out of range", i, di)
-			}
-			if b.Err() == nil {
-				o.deps = append(o.deps, ops[di])
-			}
-		}
-		if err := b.Close(fmt.Sprintf("ppc750 op %d", i)); err != nil {
-			return err
-		}
 		if d := s.decode(o.pc); d.ok {
 			o.ins, o.decodeOK = d.ins, true
 			o.class = d.class
 			o.srcs, o.dsts, o.gprDsts = d.srcs, d.dsts, d.gprs
+		}
+		if nd < 0 || nd > len(o.srcs) {
+			return fmt.Errorf("ppc750: op %d: dep count %d out of range [0,%d]", i, nd, len(o.srcs))
+		}
+		for j := 0; j < nd; j++ {
+			di := b.Int()
+			if b.Err() != nil {
+				break
+			}
+			if di < 0 || di >= nOps {
+				return fmt.Errorf("ppc750: op %d: dep ordinal %d out of range [0,%d)", i, di, nOps)
+			}
+			o.deps = append(o.deps, s.slots[di].ref())
+		}
+		if err := b.Close(fmt.Sprintf("ppc750 op %d", i)); err != nil {
+			return err
 		}
 	}
 	if err := tb.Close("ppc750 op table"); err != nil {
 		return err
 	}
 
-	for _, m := range s.director.Machines() {
-		oi := r.Int()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		switch {
-		case oi == -1:
-			m.Ctx = nil
-		case oi >= 0 && oi < nOps:
-			m.Ctx = ops[oi]
-		default:
-			return fmt.Errorf("ppc750: machine op index %d out of range", oi)
-		}
-	}
-
-	s.ren.snapOps = ops
-	err := s.director.Restore(r.Blob())
-	s.ren.snapOps = nil
-	if err != nil {
+	if err := s.director.Restore(r.Blob()); err != nil {
 		return err
 	}
 	return r.Close("ppc750 sim")
@@ -321,11 +268,13 @@ func (b *BTIC) Restore(r *snap.Reader) error {
 	return r.Close("btic")
 }
 
-const renamerSnapVersion = 1
+// renamerSnapVersion 2 encodes newest-writer entries as op-slot
+// ordinals.
+const renamerSnapVersion = 2
 
-// SnapshotState encodes the rename state (osm.Snapshotter). Op
-// references go through the op-table index installed by Sim.Snapshot;
-// uncommitted transactions were rejected there.
+// SnapshotState encodes the rename state (osm.Snapshotter). A live
+// newest-writer ref is encoded as its slot ordinal, an empty or stale
+// one as -1; uncommitted transactions were rejected by Sim.Snapshot.
 func (r *renamer) SnapshotState(c *osm.SnapCtx, w *snap.Writer) {
 	w.Version(renamerSnapVersion)
 	w.U64(r.cycle)
@@ -333,15 +282,20 @@ func (r *renamer) SnapshotState(c *osm.SnapCtx, w *snap.Writer) {
 	for _, at := range r.resultTimes {
 		w.U64(at)
 	}
-	for _, o := range r.lastWriter {
-		w.Int(opIndex(r.snapIdx, o))
+	for _, p := range r.lastWriter {
+		if r.live(p) != nil {
+			w.Int(p.slot)
+		} else {
+			w.Int(-1)
+		}
 	}
 	w.Int(r.bufCap)
 	w.Int(r.bufUsed)
 }
 
-// RestoreState decodes a rename snapshot (osm.Snapshotter), resolving
-// op references against the table installed by Sim.Restore.
+// RestoreState decodes a rename snapshot (osm.Snapshotter), binding
+// newest-writer ordinals to the slots' current generations (Sim.Restore
+// has already decoded the op table).
 func (r *renamer) RestoreState(c *osm.SnapCtx, rd *snap.Reader) error {
 	rd.Version("regfiles+rename", renamerSnapVersion)
 	r.cycle = rd.U64()
@@ -359,14 +313,13 @@ func (r *renamer) RestoreState(c *osm.SnapCtx, rd *snap.Reader) error {
 	for i := range r.lastWriter {
 		oi := rd.Int()
 		switch {
+		case rd.Err() != nil:
 		case oi == -1:
-			r.lastWriter[i] = nil
-		case oi >= 0 && oi < len(r.snapOps):
-			r.lastWriter[i] = r.snapOps[oi]
+			r.lastWriter[i] = ref{}
+		case oi >= 0 && oi < len(r.slots):
+			r.lastWriter[i] = r.slots[oi].ref()
 		default:
-			if rd.Err() == nil {
-				return fmt.Errorf("regfiles+rename: writer op index %d out of range", oi)
-			}
+			return fmt.Errorf("regfiles+rename: writer ordinal %d out of range [0,%d)", oi, len(r.slots))
 		}
 	}
 	bufCap := rd.Int()
@@ -378,6 +331,6 @@ func (r *renamer) RestoreState(c *osm.SnapCtx, rd *snap.Reader) error {
 		return fmt.Errorf("regfiles+rename: snapshot has %d rename buffers, model has %d", bufCap, r.bufCap)
 	}
 	r.bufUsed = bufUsed
-	r.undo = make(map[*osm.Machine][]undoEntry)
+	r.pending = 0
 	return nil
 }
