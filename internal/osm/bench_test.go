@@ -95,6 +95,18 @@ func BenchmarkDirectorStepPipelineCompiled(b *testing.B) {
 	benchSteps(b, d)
 }
 
+// BenchmarkDirectorStepPipelineRecorded runs the saturated ring with
+// a session-sized trace Recorder (Limit 4096) installed, the tracing
+// every osmserve session pays. The CI bench-regression job gates it
+// against the base branch like the devirtualized engines.
+func BenchmarkDirectorStepPipelineRecorded(b *testing.B) {
+	d := benchPipeline()
+	rec := NewRecorder()
+	rec.Limit = 4096
+	d.Tracer = rec
+	benchSteps(b, d)
+}
+
 func BenchmarkDirectorStepIdle(b *testing.B) {
 	benchSteps(b, benchIdle())
 }

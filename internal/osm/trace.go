@@ -12,6 +12,13 @@ import (
 // per-state / per-edge statistics — the raw material for pipeline
 // diagrams and utilization reports. Install it with
 // director.Tracer = recorder (or chain it from another Tracer).
+//
+// Transition does constant pointer work: it bumps one counter per
+// distinct *Edge, stores a compact (step, machine, edge) record in the
+// ring, and folds the transition into the running checksum. Names are
+// resolved only when read: Events and EventsSince build Event values,
+// and EdgeCount, StateEntries, Utilization, Report and SaveState sum
+// the per-edge counters by edge name or by destination-state name.
 type Recorder struct {
 	// Limit bounds the retained history to the most recent Limit
 	// events (0 = unlimited). Statistics always cover the whole run.
@@ -21,15 +28,37 @@ type Recorder struct {
 	// another Tracer without hiding events from it.
 	Next Tracer
 
-	events     []Event
-	start      int // ring start when len(events) == Limit
-	edgeCount  map[string]uint64
-	stateEnter map[string]uint64
-	firstStep  uint64
-	lastStep   uint64
-	any        bool
-	total      uint64
-	sum        uint64
+	ring  []record
+	start int // ring start when len(ring) == Limit
+	// tallies holds one commit counter per distinct edge; slot maps an
+	// edge to its counter.
+	slot    map[*Edge]int
+	tallies []tally
+	// baseEdge and baseState are the name-keyed counts a LoadState
+	// restored; reads add the live tallies to them.
+	baseEdge  map[string]uint64
+	baseState map[string]uint64
+	firstStep uint64
+	lastStep  uint64
+	any       bool
+	total     uint64
+	sum       uint64
+}
+
+// record is one retained transition. Names are read through the
+// pointers when an Event is built.
+type record struct {
+	step uint64
+	m    *Machine
+	e    *Edge
+}
+
+// tally counts the commits of one edge and carries the edge's part of
+// the checksum byte stream in folded form.
+type tally struct {
+	e    *Edge
+	n    uint64
+	fold *fnvFold
 }
 
 // Event is one recorded transition. The JSON tags are the wire form
@@ -46,12 +75,7 @@ type Event struct {
 }
 
 // NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder {
-	return &Recorder{
-		edgeCount:  make(map[string]uint64),
-		stateEnter: make(map[string]uint64),
-	}
-}
+func NewRecorder() *Recorder { return &Recorder{} }
 
 // Transition implements Tracer.
 func (r *Recorder) Transition(step uint64, m *Machine, e *Edge) {
@@ -59,20 +83,21 @@ func (r *Recorder) Transition(step uint64, m *Machine, e *Edge) {
 		r.firstStep, r.any = step, true
 	}
 	r.lastStep = step
-	r.edgeCount[e.Name]++
-	r.stateEnter[e.To.Name]++
-	ev := Event{
-		Step: step, Machine: m.Name, Edge: e.Name,
-		From: e.From.Name, To: e.To.Name,
+	i, ok := r.slot[e]
+	if !ok {
+		i = r.newTally(e)
 	}
+	t := &r.tallies[i]
+	t.n++
 	r.total++
-	r.sum = ev.hash(r.sum)
-	if r.Limit == 0 || len(r.events) < r.Limit {
-		r.events = append(r.events, ev)
+	r.sum = t.fold.apply(hashName(hashStep(r.sum, step), m.Name))
+	rec := record{step: step, m: m, e: e}
+	if r.Limit == 0 || len(r.ring) < r.Limit {
+		r.ring = append(r.ring, rec)
 	} else {
 		// History is full: overwrite the oldest event so the retained
 		// window tracks the end of the run, not its beginning.
-		r.events[r.start] = ev
+		r.ring[r.start] = rec
 		r.start++
 		if r.start == r.Limit {
 			r.start = 0
@@ -83,37 +108,67 @@ func (r *Recorder) Transition(step uint64, m *Machine, e *Edge) {
 	}
 }
 
-// Events returns the retained history in commit order. With a Limit
-// set, these are the most recent Limit events.
-func (r *Recorder) Events() []Event {
-	if r.start == 0 {
-		return r.events
+// newTally gives e its commit counter on its first transition.
+func (r *Recorder) newTally(e *Edge) int {
+	if r.slot == nil {
+		r.slot = make(map[*Edge]int)
 	}
-	out := make([]Event, 0, len(r.events))
-	out = append(out, r.events[r.start:]...)
-	out = append(out, r.events[:r.start]...)
-	return out
+	i := len(r.tallies)
+	r.slot[e] = i
+	r.tallies = append(r.tallies, tally{e: e, fold: newFNVFold(e.Name + "\xff" + e.From.Name + "\xff" + e.To.Name + "\xff")})
+	return i
 }
+
+// at returns the i-th retained record in commit order.
+func (r *Recorder) at(i int) *record {
+	i += r.start
+	if i >= len(r.ring) {
+		i -= len(r.ring)
+	}
+	return &r.ring[i]
+}
+
+// Events returns the retained history in commit order. With a Limit
+// set, these are the most recent Limit events. The slice is freshly
+// built on every call; the caller may keep or modify it.
+func (r *Recorder) Events() []Event { return r.eventsFrom(0) }
 
 // EventsSince returns the retained events with Step >= step, in
 // commit order — the incremental form a live trace consumer (such as
 // the HTTP trace stream) uses to pick up where it left off. Events
 // that fell out of a bounded ring are gone; compare Total against the
-// consumed count to detect the gap.
+// consumed count to detect the gap. Like Events, the slice is freshly
+// built and belongs to the caller.
 func (r *Recorder) EventsSince(step uint64) []Event {
-	all := r.Events()
 	// The ring is in commit order, so steps are non-decreasing:
 	// binary-search the first index at or past step.
-	lo, hi := 0, len(all)
+	lo, hi := 0, len(r.ring)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if all[mid].Step < step {
+		if r.at(mid).step < step {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return all[lo:]
+	return r.eventsFrom(lo)
+}
+
+// eventsFrom builds the Events of the retained records from index
+// lo (in commit order) to the newest.
+func (r *Recorder) eventsFrom(lo int) []Event {
+	if r.ring == nil {
+		return nil
+	}
+	out := make([]Event, len(r.ring)-lo)
+	for i := range out {
+		rec := r.at(lo + i)
+		out[i] = Event{
+			Step: rec.step, Machine: rec.m.Name, Edge: rec.e.Name,
+			From: rec.e.From.Name, To: rec.e.To.Name,
+		}
+	}
+	return out
 }
 
 // Total returns the number of transitions ever recorded, independent
@@ -131,29 +186,100 @@ const (
 	fnvPrime  = 0x100000001b3
 )
 
-// hash folds the event into an FNV-1a running digest.
-func (ev *Event) hash(sum uint64) uint64 {
+// fnvPrimePow[k] is fnvPrime^k mod 2^64: FNV-1a over k zero bytes is
+// a multiply by it, since sum ^ 0 == sum.
+var fnvPrimePow = func() (p [9]uint64) {
+	p[0] = 1
+	for k := 1; k < len(p); k++ {
+		p[k] = p[k-1] * fnvPrime
+	}
+	return p
+}()
+
+// The checksum's byte stream for one transition is the step as 8
+// little-endian bytes, then the machine, edge, source-state and
+// destination-state names, each followed by a 0xff separator.
+
+// hashStep starts a transition: it folds the step's bytes into an
+// FNV-1a running digest.
+func hashStep(sum, step uint64) uint64 {
 	if sum == 0 {
 		sum = fnvOffset
 	}
-	for i := 0; i < 8; i++ {
-		sum = (sum ^ (ev.Step >> (8 * i) & 0xff)) * fnvPrime
+	k := 0
+	for v := step; v != 0; v >>= 8 {
+		sum = (sum ^ v&0xff) * fnvPrime
+		k++
 	}
-	for _, s := range [...]string{ev.Machine, ev.Edge, ev.From, ev.To} {
-		for i := 0; i < len(s); i++ {
-			sum = (sum ^ uint64(s[i])) * fnvPrime
-		}
-		sum = (sum ^ 0xff) * fnvPrime // field separator
-	}
-	return sum
+	return sum * fnvPrimePow[8-k] // the step's zero high bytes
 }
 
+// hashName folds s and a field separator into an FNV-1a digest.
+func hashName(sum uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		sum = (sum ^ uint64(s[i])) * fnvPrime
+	}
+	return (sum ^ 0xff) * fnvPrime
+}
+
+// fnvFold is FNV-1a over a fixed byte string as a function of the
+// incoming digest x: apply(x) = x*mul + add[x&0xff], exactly. For a
+// byte b, x^b == x + d with d = (x&0xff)^b - x&0xff, so each byte's
+// step (x^b)*p == x*p + d*p adds a term that depends only on the low
+// byte of the digest — and the low byte of a product or sum mod 2^64
+// depends only on the operands' low bytes. Unrolled over the string,
+// the result is x*p^len plus a sum that is a function of x&0xff alone,
+// tabulated once per string.
+type fnvFold struct {
+	mul uint64
+	add [256]uint64
+}
+
+func newFNVFold(s string) *fnvFold {
+	f := &fnvFold{mul: 1}
+	for range len(s) {
+		f.mul *= fnvPrime
+	}
+	for lo := range uint64(len(f.add)) {
+		h := lo
+		for i := 0; i < len(s); i++ {
+			h = (h ^ uint64(s[i])) * fnvPrime
+		}
+		f.add[lo] = h - lo*f.mul
+	}
+	return f
+}
+
+func (f *fnvFold) apply(sum uint64) uint64 { return sum*f.mul + f.add[sum&0xff] }
+
 // EdgeCount returns how many times the named edge committed.
-func (r *Recorder) EdgeCount(edge string) uint64 { return r.edgeCount[edge] }
+func (r *Recorder) EdgeCount(edge string) uint64 { return r.edgeCounts()[edge] }
 
 // StateEntries returns how many times any machine entered the named
 // state.
-func (r *Recorder) StateEntries(state string) uint64 { return r.stateEnter[state] }
+func (r *Recorder) StateEntries(state string) uint64 { return r.stateCounts()[state] }
+
+// edgeCounts and stateCounts return the whole-run commit counts keyed
+// by edge name and by destination-state name: the restored base plus
+// the live per-edge tallies.
+func (r *Recorder) edgeCounts() map[string]uint64 {
+	return r.countsBy(r.baseEdge, func(e *Edge) string { return e.Name })
+}
+
+func (r *Recorder) stateCounts() map[string]uint64 {
+	return r.countsBy(r.baseState, func(e *Edge) string { return e.To.Name })
+}
+
+func (r *Recorder) countsBy(base map[string]uint64, key func(*Edge) string) map[string]uint64 {
+	m := make(map[string]uint64, len(base)+len(r.tallies))
+	for k, n := range base {
+		m[k] = n
+	}
+	for _, t := range r.tallies {
+		m[key(t.e)] += t.n
+	}
+	return m
+}
 
 // Steps returns the number of control steps spanned by the recording.
 func (r *Recorder) Steps() uint64 {
@@ -166,34 +292,40 @@ func (r *Recorder) Steps() uint64 {
 // Utilization returns entries-per-step for the named state — for a
 // single-unit pipeline stage this is its occupancy utilization.
 func (r *Recorder) Utilization(state string) float64 {
+	return r.utilization(r.StateEntries(state))
+}
+
+func (r *Recorder) utilization(entries uint64) float64 {
 	steps := r.Steps()
 	if steps == 0 {
 		return 0
 	}
-	return float64(r.stateEnter[state]) / float64(steps)
+	return float64(entries) / float64(steps)
 }
 
 // Report writes a per-edge and per-state summary, sorted by name for
-// determinism.
+// determinism. The header gives the whole-run transition count and,
+// separately, how many events the history retains.
 func (r *Recorder) Report(w io.Writer) {
-	fmt.Fprintf(w, "steps: %d, transitions: %d\n", r.Steps(), len(r.events))
-	var edges []string
-	for e := range r.edgeCount {
-		edges = append(edges, e)
+	fmt.Fprintf(w, "steps: %d, transitions: %d, retained: %d\n", r.Steps(), r.total, len(r.ring))
+	edges := r.edgeCounts()
+	for _, e := range sortedKeys(edges) {
+		fmt.Fprintf(w, "  edge %-12s %6d\n", e, edges[e])
 	}
-	sort.Strings(edges)
-	for _, e := range edges {
-		fmt.Fprintf(w, "  edge %-12s %6d\n", e, r.edgeCount[e])
-	}
-	var states []string
-	for s := range r.stateEnter {
-		states = append(states, s)
-	}
-	sort.Strings(states)
-	for _, s := range states {
+	states := r.stateCounts()
+	for _, s := range sortedKeys(states) {
 		fmt.Fprintf(w, "  state %-11s %6d entries (%.2f/step)\n",
-			s, r.stateEnter[s], r.Utilization(s))
+			s, states[s], r.utilization(states[s]))
 	}
+}
+
+func sortedKeys(m map[string]uint64) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // recorderVersion versions the SaveState/LoadState encoding.
@@ -212,25 +344,26 @@ func (r *Recorder) SaveState(w *snap.Writer) {
 	w.U64(r.firstStep)
 	w.U64(r.lastStep)
 	w.Bool(r.any)
-	evs := r.Events()
-	w.U32(uint32(len(evs)))
-	for i := range evs {
-		ev := &evs[i]
-		w.U64(ev.Step)
-		w.String(ev.Machine)
-		w.String(ev.Edge)
-		w.String(ev.From)
-		w.String(ev.To)
+	w.U32(uint32(len(r.ring)))
+	for i := range r.ring {
+		rec := r.at(i)
+		w.U64(rec.step)
+		w.String(rec.m.Name)
+		w.String(rec.e.Name)
+		w.String(rec.e.From.Name)
+		w.String(rec.e.To.Name)
 	}
-	saveCountMap(w, r.edgeCount)
-	saveCountMap(w, r.stateEnter)
+	saveCountMap(w, r.edgeCounts())
+	saveCountMap(w, r.stateCounts())
 }
 
 // LoadState replaces the recording with a saved one. The retained
 // window is clamped to the recorder's own Limit (keeping the most
 // recent events) so a snapshot taken under a larger retention restores
 // cleanly into a smaller one; aggregates are retention-independent and
-// restore exactly.
+// restore exactly. Restored events point at stand-in Machine, Edge and
+// State values that carry the saved names, one per distinct name; the
+// restored counts become the base that later transitions add to.
 func (r *Recorder) LoadState(rd *snap.Reader) error {
 	rd.Version("recorder", recorderVersion)
 	total := rd.U64()
@@ -248,15 +381,13 @@ func (r *Recorder) LoadState(rd *snap.Reader) error {
 		rd.Failf("recorder: implausible event count %d (%d bytes remaining)", n, rd.Remaining())
 		return rd.Err()
 	}
-	evs := make([]Event, 0, n)
+	in := newStandIns()
+	recs := make([]record, 0, n)
 	for i := 0; i < n; i++ {
-		evs = append(evs, Event{
-			Step:    rd.U64(),
-			Machine: rd.String(),
-			Edge:    rd.String(),
-			From:    rd.String(),
-			To:      rd.String(),
-		})
+		step := rd.U64()
+		machine := rd.String()
+		edge, from, to := rd.String(), rd.String(), rd.String()
+		recs = append(recs, record{step: step, m: in.machine(machine), e: in.edge(edge, from, to)})
 	}
 	edgeCount, err := loadCountMap(rd)
 	if err != nil {
@@ -266,27 +397,69 @@ func (r *Recorder) LoadState(rd *snap.Reader) error {
 	if err != nil {
 		return err
 	}
-	if r.Limit > 0 && len(evs) > r.Limit {
-		evs = evs[len(evs)-r.Limit:]
+	if r.Limit > 0 && len(recs) > r.Limit {
+		recs = recs[len(recs)-r.Limit:]
 	}
-	r.events = append(r.events[:0], evs...)
+	r.ring = append(r.ring[:0], recs...)
 	r.start = 0
+	r.slot = nil
+	r.tallies = nil
 	r.total = total
 	r.sum = sum
 	r.firstStep = first
 	r.lastStep = last
 	r.any = any
-	r.edgeCount = edgeCount
-	r.stateEnter = stateEnter
+	r.baseEdge = edgeCount
+	r.baseState = stateEnter
 	return nil
 }
 
-func saveCountMap(w *snap.Writer, m map[string]uint64) {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// standIns interns the Machine, Edge and State values that carry the
+// names of restored events.
+type standIns struct {
+	machines map[string]*Machine
+	states   map[string]*State
+	edges    map[[3]string]*Edge
+}
+
+func newStandIns() *standIns {
+	return &standIns{
+		machines: make(map[string]*Machine),
+		states:   make(map[string]*State),
+		edges:    make(map[[3]string]*Edge),
 	}
-	sort.Strings(keys)
+}
+
+func (in *standIns) machine(name string) *Machine {
+	m := in.machines[name]
+	if m == nil {
+		m = &Machine{Name: name}
+		in.machines[name] = m
+	}
+	return m
+}
+
+func (in *standIns) state(name string) *State {
+	s := in.states[name]
+	if s == nil {
+		s = &State{Name: name}
+		in.states[name] = s
+	}
+	return s
+}
+
+func (in *standIns) edge(name, from, to string) *Edge {
+	key := [3]string{name, from, to}
+	e := in.edges[key]
+	if e == nil {
+		e = &Edge{Name: name, From: in.state(from), To: in.state(to)}
+		in.edges[key] = e
+	}
+	return e
+}
+
+func saveCountMap(w *snap.Writer, m map[string]uint64) {
+	keys := sortedKeys(m)
 	w.U32(uint32(len(keys)))
 	for _, k := range keys {
 		w.String(k)
@@ -313,10 +486,12 @@ func loadCountMap(rd *snap.Reader) (map[string]uint64, error) {
 
 // Reset clears the recording.
 func (r *Recorder) Reset() {
-	r.events = r.events[:0]
+	r.ring = r.ring[:0]
 	r.start = 0
-	r.edgeCount = make(map[string]uint64)
-	r.stateEnter = make(map[string]uint64)
+	r.slot = nil
+	r.tallies = nil
+	r.baseEdge = nil
+	r.baseState = nil
 	r.any = false
 	r.total = 0
 	r.sum = 0

@@ -1,9 +1,12 @@
 package osm
 
 import (
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/snap"
 )
 
 func TestRecorderCountsAndHistory(t *testing.T) {
@@ -39,6 +42,164 @@ func TestRecorderCountsAndHistory(t *testing.T) {
 	out := b.String()
 	if !strings.Contains(out, "edge acquire") || !strings.Contains(out, "state F") {
 		t.Fatalf("report missing entries:\n%s", out)
+	}
+	if !strings.HasPrefix(out, "steps: 6, transitions: 6, retained: 6\n") {
+		t.Fatalf("report header wrong:\n%s", out)
+	}
+
+	// A bounded recorder's report counts every transition, and the
+	// retained window separately.
+	d, _, _ = twoStage(1)
+	bounded := NewRecorder()
+	bounded.Limit = 4
+	d.Tracer = bounded
+	for i := 0; i < 10; i++ {
+		if err := d.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b.Reset()
+	bounded.Report(&b)
+	out = b.String()
+	if !strings.HasPrefix(out, "steps: 10, transitions: 10, retained: 4\n") {
+		t.Fatalf("bounded report header wrong:\n%s", out)
+	}
+	words := strings.Join(strings.Fields(out), " ")
+	for _, want := range []string{"edge acquire 5 ", "edge retire 5 ", "state F 5 entries (0.50/step)"} {
+		if !strings.Contains(words, want) {
+			t.Fatalf("bounded report must count the whole run, missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// Events and EventsSince return fresh slices: a caller that modifies
+// one, or holds it while the ring keeps rotating, sees no effect on a
+// later read and no later write through it.
+func TestRecorderEventsAreFreshSlices(t *testing.T) {
+	for _, limit := range []int{0, 3} {
+		d, _, _ := twoStage(1)
+		rec := NewRecorder()
+		rec.Limit = limit
+		d.Tracer = rec
+		// Six steps leave a Limit-3 ring exactly full with its oldest
+		// event at index 0, where a slice of the ring itself would
+		// look like commit order.
+		for i := 0; i < 6; i++ {
+			if err := d.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := append([]Event(nil), rec.Events()...)
+		got := rec.Events()
+		since := rec.EventsSince(0)
+		for i := range got {
+			got[i] = Event{Step: 99, Machine: "x"}
+			since[i].Edge = "clobbered"
+		}
+		again := rec.Events()
+		if len(again) != len(want) {
+			t.Fatalf("limit %d: %d events, want %d", limit, len(again), len(want))
+		}
+		for i := range want {
+			if again[i] != want[i] {
+				t.Fatalf("limit %d: event %d changed through a returned slice: %+v, want %+v", limit, i, again[i], want[i])
+			}
+		}
+		// A held slice must not change when the ring rotates.
+		held := rec.Events()
+		if err := d.Step(); err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if held[i] != want[i] {
+				t.Fatalf("limit %d: held event %d changed after a step: %+v, want %+v", limit, i, held[i], want[i])
+			}
+		}
+	}
+}
+
+// After LoadState, the restored name-keyed counts are a base that the
+// live per-edge tallies add to, and the restored events keep their
+// names.
+func TestRecorderLoadStateCountsAddToBase(t *testing.T) {
+	d, _, _ := twoStage(2)
+	rec := NewRecorder()
+	d.Tracer = rec
+	for i := 0; i < 7; i++ {
+		if err := d.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w := snap.NewWriter()
+	rec.SaveState(w)
+	before := rec.Events()
+	acq, ret, f := rec.EdgeCount("acquire"), rec.EdgeCount("retire"), rec.StateEntries("F")
+
+	resumed := NewRecorder()
+	if err := resumed.LoadState(snap.NewReader(w.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	if got := resumed.Events(); len(got) != len(before) || got[0] != before[0] || got[len(got)-1] != before[len(before)-1] {
+		t.Fatalf("restored events differ: %+v, want %+v", got, before)
+	}
+	d.Tracer = resumed
+	for i := 0; i < 5; i++ {
+		if err := d.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Count the continuation with a fresh recorder on an identical run.
+	d2, _, _ := twoStage(2)
+	full := NewRecorder()
+	d2.Tracer = full
+	for i := 0; i < 12; i++ {
+		if err := d2.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range []string{"acquire", "retire"} {
+		if got, want := resumed.EdgeCount(name), full.EdgeCount(name); got != want {
+			t.Errorf("EdgeCount(%s) = %d after resume, want %d", name, got, want)
+		}
+	}
+	for _, name := range []string{"F", "I"} {
+		if got, want := resumed.StateEntries(name), full.StateEntries(name); got != want {
+			t.Errorf("StateEntries(%s) = %d after resume, want %d", name, got, want)
+		}
+	}
+	if resumed.EdgeCount("acquire") <= acq || resumed.EdgeCount("retire") <= ret || resumed.StateEntries("F") <= f {
+		t.Error("live transitions were not added to the restored counts")
+	}
+	if resumed.Checksum() != full.Checksum() || resumed.Total() != full.Total() {
+		t.Errorf("resumed checksum/total %#x/%d, want %#x/%d", resumed.Checksum(), resumed.Total(), full.Checksum(), full.Total())
+	}
+	var a, b strings.Builder
+	resumed.Report(&a)
+	full.Report(&b)
+	if a.String() != b.String() {
+		t.Errorf("resumed report differs:\n%s\nwant:\n%s", a.String(), b.String())
+	}
+}
+
+// fnvFold must agree with the byte-wise FNV-1a loop for every incoming
+// digest, including strings that contain the 0xff separator byte.
+func TestFNVFoldMatchesByteLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, s := range []string{"", "a", "e5\xffW\xffI\xff", "issue-bpu\xffWbpu\xffEbpu\xff", "\xff\x00\xff"} {
+		f := newFNVFold(s)
+		for i := 0; i < 2000; i++ {
+			x := rng.Uint64()
+			if i < 256 {
+				x = uint64(i)
+			}
+			want := x
+			for j := 0; j < len(s); j++ {
+				want = (want ^ uint64(s[j])) * fnvPrime
+			}
+			if got := f.apply(x); got != want {
+				t.Fatalf("fold(%q)(%#x) = %#x, want %#x", s, x, got, want)
+			}
+		}
 	}
 }
 

@@ -860,10 +860,9 @@ func (m *Manager) AdminDrain() []string {
 func (m *Manager) TraceEvents(s *Session, since uint64) ([]osm.Event, uint64, uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// EventsSince builds a fresh slice, so it stays valid after the
+	// lock is released and the ring rotates.
 	evs := s.rec.EventsSince(since)
-	// Copy: the ring may rotate after the lock is released.
-	out := make([]osm.Event, len(evs))
-	copy(out, evs)
 	s.touch()
-	return out, s.rec.Total(), s.rec.Checksum()
+	return evs, s.rec.Total(), s.rec.Checksum()
 }
