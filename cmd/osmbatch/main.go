@@ -17,6 +17,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -65,7 +66,12 @@ func run() int {
 		if err != nil {
 			return fail(err)
 		}
-		if err := json.Unmarshal(data, &jobs); err != nil {
+		// Strict decode: a field this build no longer reads (such as
+		// the retired "scan" flag; -scheduler selects the engine) is
+		// an error, not silently ignored.
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&jobs); err != nil {
 			return fail(fmt.Errorf("%s: %w", *jobsFile, err))
 		}
 	case *mix:
@@ -83,7 +89,6 @@ func run() int {
 		return fail(fmt.Errorf("unknown scheduler %q (want event, scan, compiled or generated)", *scheduler))
 	}
 	for i := range jobs {
-		jobs[i].Scan = *scheduler == "scan"
 		jobs[i].Engine = *scheduler
 		jobs[i].Check = jobs[i].Check || *check
 		if *maxCycles > 0 {

@@ -122,14 +122,11 @@ func cmdStat(dir string, stdout io.Writer) error {
 	if s.LogicalBytes > 0 {
 		fmt.Fprintf(stdout, "stored/logical: %.1f%%\n", 100*float64(s.ChunkBytes)/float64(s.LogicalBytes))
 	}
-	if s.LegacyBlobs > 0 {
-		fmt.Fprintf(stdout, "legacy blobs:   %d (%d bytes)\n", s.LegacyBlobs, s.LegacyBytes)
-	}
 	return nil
 }
 
-// cmdGC sweeps chunks and legacy blobs no run index or park metadata
-// references anymore.
+// cmdGC sweeps chunks no run index references anymore, and temp files
+// an interrupted write left behind.
 func cmdGC(dir string, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("osmstore gc", flag.ContinueOnError)
 	grace := fs.Duration("grace", time.Minute, "spare unreferenced files younger than this")
@@ -144,8 +141,8 @@ func cmdGC(dir string, args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "swept %d chunks (%d bytes) and %d legacy blobs; %d chunks live, %d recent files spared\n",
-		stats.SweptChunks, stats.SweptBytes, stats.SweptLegacy, stats.LiveChunks, stats.KeptRecent)
+	fmt.Fprintf(stdout, "swept %d chunks (%d bytes) and %d temp files; %d chunks live, %d recent files spared\n",
+		stats.SweptChunks, stats.SweptBytes, stats.SweptTemps, stats.LiveChunks, stats.KeptRecent)
 	return nil
 }
 
@@ -252,7 +249,7 @@ func queryAt(dir, runName string, cycle uint64) (atResult, error) {
 		if err != nil {
 			return atResult{}, err
 		}
-		spec = runner.Spec{Workload: c.Job.Workload, N: c.Job.N, Scan: c.Job.Scan, MaxCycles: c.Job.MaxCycles}
+		spec = runner.Spec{Workload: c.Job.Workload, N: c.Job.N, MaxCycles: c.Job.MaxCycles}
 		switch c.Job.Arch {
 		case "arm":
 			spec.Target = "strongarm"

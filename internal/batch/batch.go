@@ -9,8 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"time"
@@ -36,12 +34,8 @@ type Job struct {
 	Workload string `json:"workload"`
 	// N is the iteration count (0 = the workload's default).
 	N int `json:"n"`
-	// Scan selects the reference scan scheduler instead of the
-	// event-driven one. It is the legacy form of Engine = "scan" and
-	// takes precedence.
-	Scan bool `json:"scan,omitempty"`
-	// Engine selects the execution engine: "event" (default), "scan"
-	// or "compiled". Engines are trace-equivalent, so checkpoints
+	// Engine selects the execution engine: "event" (default), "scan",
+	// "compiled" or "generated" (osm.ParseEngine). Engines are trace-equivalent, so checkpoints
 	// resume across engine changes (the field is not part of the job
 	// identity).
 	Engine string `json:"engine,omitempty"`
@@ -178,9 +172,6 @@ func buildSim(j Job) (batchSim, func() (uint64, uint64, []uint32, error), error)
 	eng, err := osm.ParseEngine(j.Engine)
 	if err != nil {
 		return nil, nil, fmt.Errorf("batch: %v", err)
-	}
-	if j.Scan {
-		eng = osm.EngineScan
 	}
 	switch j.Arch {
 	case "arm":
@@ -391,8 +382,10 @@ func (r *Runner) runJob(j Job) (res Result) {
 // ---- checkpoint records ----
 
 const (
-	ckptHeader  = "ckpt"
-	ckptVersion = 1
+	ckptHeader = "ckpt"
+	// ckptVersion 2 dropped the job's scan flag from the identity; a
+	// v1 record fails to decode and its job restarts from scratch.
+	ckptVersion = 2
 )
 
 // checkpointGCGrace spares store files younger than this from the
@@ -461,12 +454,6 @@ func (r *Runner) checkpointStore() (*store.Store, error) {
 	return r.store, r.storeErr
 }
 
-// checkpointPath returns the legacy whole-file checkpoint path;
-// current builds write through the store instead.
-func (r *Runner) checkpointPath(j Job) string {
-	return filepath.Join(r.CheckpointDir, j.Name+".ckpt")
-}
-
 // writeCheckpoint persists the job's state into the checkpoint store.
 func (r *Runner) writeCheckpoint(j Job, s batchSim) error {
 	if r.CheckpointDir == "" {
@@ -489,28 +476,23 @@ func (r *Runner) writeCheckpoint(j Job, s batchSim) error {
 }
 
 // loadCheckpoint returns the simulator snapshot from the job's latest
-// stored checkpoint when one exists and its identity matches. Jobs
-// checkpointed by older builds fall back to the legacy `.ckpt` file.
-// A damaged checkpoint never kills the job — it restarts from scratch.
+// stored checkpoint when one exists and its identity matches. A
+// damaged checkpoint never kills the job — it restarts from scratch.
 func (r *Runner) loadCheckpoint(j Job) (blob []byte, cycle uint64, ok bool) {
 	if r.CheckpointDir == "" {
 		return nil, 0, false
 	}
-	var data []byte
-	if st, err := r.checkpointStore(); err == nil {
-		switch _, d, err := st.Latest(j.Name); {
-		case err == nil:
-			data = d
-		case !errors.Is(err, store.ErrNotFound):
+	st, err := r.checkpointStore()
+	if err != nil {
+		r.logf("job %s: checkpoint store unusable (%v)", j.Name, err)
+		return nil, 0, false
+	}
+	_, data, err := st.Latest(j.Name)
+	if err != nil {
+		if !errors.Is(err, store.ErrNotFound) {
 			r.logf("job %s: stored checkpoint unusable (%v)", j.Name, err)
 		}
-	}
-	if data == nil {
-		d, err := os.ReadFile(r.checkpointPath(j))
-		if err != nil {
-			return nil, 0, false
-		}
-		data = d
+		return nil, 0, false
 	}
 	c, err := DecodeCheckpoint(data)
 	if err != nil {
@@ -524,9 +506,9 @@ func (r *Runner) loadCheckpoint(j Job) (blob []byte, cycle uint64, ok bool) {
 	return c.Blob, c.Cycle, true
 }
 
-// removeCheckpoint drops the job's checkpoints after success: the
-// store run and any legacy whole-file checkpoint. Chunks the run
-// referenced are reclaimed by the end-of-batch GC sweep.
+// removeCheckpoint drops the job's checkpoint run from the store
+// after success. Chunks the run referenced are reclaimed by the
+// end-of-batch GC sweep.
 func (r *Runner) removeCheckpoint(j Job) {
 	if r.CheckpointDir == "" {
 		return
@@ -536,7 +518,6 @@ func (r *Runner) removeCheckpoint(j Job) {
 			r.logf("job %s: dropping checkpoints: %v", j.Name, err)
 		}
 	}
-	os.Remove(r.checkpointPath(j))
 }
 
 // gcCheckpoints sweeps the checkpoint store after a batch: chunks
@@ -556,9 +537,9 @@ func (r *Runner) gcCheckpoints() {
 		r.logf("checkpoint gc: %v", err)
 		return
 	}
-	if stats.SweptChunks > 0 || stats.SweptLegacy > 0 {
-		r.logf("checkpoint gc: swept %d chunks (%d bytes) and %d legacy files",
-			stats.SweptChunks, stats.SweptBytes, stats.SweptLegacy)
+	if stats.SweptChunks > 0 || stats.SweptTemps > 0 {
+		r.logf("checkpoint gc: swept %d chunks (%d bytes) and %d temp files",
+			stats.SweptChunks, stats.SweptBytes, stats.SweptTemps)
 	}
 }
 
@@ -579,7 +560,6 @@ func writeJobIdentity(w *snap.Writer, j Job) {
 	w.String(id.Arch)
 	w.String(id.Workload)
 	w.Int(id.N)
-	w.Bool(id.Scan)
 	w.U64(id.MaxCycles)
 }
 
@@ -588,7 +568,6 @@ func readJobIdentity(r *snap.Reader, j *Job) {
 	j.Arch = r.String()
 	j.Workload = r.String()
 	j.N = r.Int()
-	j.Scan = r.Bool()
 	j.MaxCycles = r.U64()
 }
 

@@ -4,9 +4,12 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/snap"
+	"repro/internal/store"
 	"repro/internal/workload"
 )
 
@@ -145,12 +148,9 @@ func TestResumeFromCheckpoint(t *testing.T) {
 			second.Cycles, second.Instrs, ref.Cycles, ref.Instrs)
 	}
 	// A successful job removes its checkpoints so the next batch starts
-	// fresh — the store run is dropped and no legacy file lingers.
+	// fresh — the store run is dropped.
 	if _, err := os.Stat(filepath.Join(dir, "runs", second.Job.Name+".idx")); !os.IsNotExist(err) {
 		t.Fatalf("checkpoint run not cleaned up after success: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, second.Job.Name+".ckpt")); !os.IsNotExist(err) {
-		t.Fatalf("legacy checkpoint file written: %v", err)
 	}
 }
 
@@ -174,87 +174,113 @@ func TestCheckpointIdentityMismatch(t *testing.T) {
 }
 
 // TestCheckpointIdentityIgnoresCheck: the invariant checker is a pure
-// observer, so toggling Job.Check must not invalidate an existing
-// checkpoint (same exclusion PanicAt gets).
+// observer and the engines are trace-equivalent, so toggling Job.Check
+// or switching Job.Engine must not invalidate an existing checkpoint
+// (same exclusion PanicAt gets), and the resumed run must end exactly
+// where an uninterrupted one does.
 func TestCheckpointIdentityIgnoresCheck(t *testing.T) {
-	dir := t.TempDir()
-	job := Job{Name: "fixed-name", Arch: "arm", Workload: "gsm/dec", N: 40, PanicAt: 800}
-	r := &Runner{Workers: 1, CheckpointDir: dir, CheckpointEvery: 200}
-	if got := r.Run([]Job{job}).Results[0]; got.Status != StatusPanic {
-		t.Fatalf("setup run: status %q", got.Status)
-	}
+	ref := (&Runner{Workers: 1}).Run([]Job{{Arch: "arm", Workload: "gsm/dec", N: 40}}).Results[0]
+	checkOK(t, ref)
+	for _, tc := range []struct {
+		name     string
+		from, to Job
+	}{
+		{"check", Job{}, Job{Check: true}},
+		{"scan-to-event", Job{Engine: "scan"}, Job{Engine: "event"}},
+		{"event-to-generated", Job{Engine: "event"}, Job{Engine: "generated"}},
+		{"compiled-to-scan", Job{Engine: "compiled"}, Job{Engine: "scan"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			job := Job{Name: "fixed-name", Arch: "arm", Workload: "gsm/dec", N: 40,
+				Engine: tc.from.Engine, Check: tc.from.Check, PanicAt: 800}
+			r := &Runner{Workers: 1, CheckpointDir: dir, CheckpointEvery: 200}
+			if got := r.Run([]Job{job}).Results[0]; got.Status != StatusPanic {
+				t.Fatalf("setup run: status %q", got.Status)
+			}
 
-	resumed := Job{Name: "fixed-name", Arch: "arm", Workload: "gsm/dec", N: 40, Check: true}
-	res := (&Runner{Workers: 1, CheckpointDir: dir, CheckpointEvery: 200}).Run([]Job{resumed}).Results[0]
-	if !res.Resumed {
-		t.Fatal("toggling Check invalidated the checkpoint")
+			resumed := Job{Name: "fixed-name", Arch: "arm", Workload: "gsm/dec", N: 40,
+				Engine: tc.to.Engine, Check: tc.to.Check}
+			res := (&Runner{Workers: 1, CheckpointDir: dir, CheckpointEvery: 200}).Run([]Job{resumed}).Results[0]
+			if !res.Resumed {
+				t.Fatal("checkpoint invalidated")
+			}
+			checkOK(t, res)
+			if res.Cycles != ref.Cycles || res.Instrs != ref.Instrs {
+				t.Fatalf("resumed run: %d cycles / %d instrs, uninterrupted: %d / %d",
+					res.Cycles, res.Instrs, ref.Cycles, ref.Instrs)
+			}
+		})
 	}
-	checkOK(t, res)
 }
 
-// TestCorruptCheckpointRestarts verifies a damaged checkpoint store —
-// here, a truncated run index — does not kill the job: it restarts
-// from scratch and still succeeds.
+// TestCorruptCheckpointRestarts verifies an unusable checkpoint does
+// not kill the job: it is logged, the job restarts from scratch and
+// still succeeds. Two kinds: a truncated run index, and a version-1
+// record (whose identity still carried the retired scan flag) stored
+// as the latest checkpoint, which must be refused by version rather
+// than misread.
 func TestCorruptCheckpointRestarts(t *testing.T) {
-	dir := t.TempDir()
-	job := Job{Name: "c", Arch: "arm", Workload: "gsm/dec", N: 40, PanicAt: 800}
-	r := &Runner{Workers: 1, CheckpointDir: dir, CheckpointEvery: 200}
-	if got := r.Run([]Job{job}).Results[0]; got.Status != StatusPanic {
-		t.Fatalf("setup run: status %q", got.Status)
-	}
-	path := filepath.Join(dir, "runs", "c.idx")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name   string
+		damage func(t *testing.T, dir string, st *store.Store)
+		log    string
+	}{
+		{"truncated-index", func(t *testing.T, dir string, _ *store.Store) {
+			path := filepath.Join(dir, "runs", "c.idx")
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, "stored checkpoint unusable"},
+		{"v1-record", func(t *testing.T, _ string, st *store.Store) {
+			j := Job{Name: "c", Arch: "arm", Workload: "gsm/dec", N: 40}
+			j.fill()
+			w := snap.NewWriter()
+			w.U32(snap.Magic)
+			w.String(ckptHeader)
+			w.Version(1)
+			w.String(j.Name)
+			w.String(j.Arch)
+			w.String(j.Workload)
+			w.Int(j.N)
+			w.Bool(false) // v1's scan flag
+			w.U64(j.MaxCycles)
+			w.U64(1 << 20)
+			w.Bytes32([]byte("stale"))
+			if _, err := st.Put(j.Name, 1<<20, w.Bytes()); err != nil {
+				t.Fatal(err)
+			}
+		}, "snapshot version 1, this build reads 2"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			job := Job{Name: "c", Arch: "arm", Workload: "gsm/dec", N: 40, PanicAt: 800}
+			r := &Runner{Workers: 1, CheckpointDir: dir, CheckpointEvery: 200}
+			if got := r.Run([]Job{job}).Results[0]; got.Status != StatusPanic {
+				t.Fatalf("setup run: status %q", got.Status)
+			}
+			st, err := r.checkpointStore()
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.damage(t, dir, st)
 
-	clean := Job{Name: "c", Arch: "arm", Workload: "gsm/dec", N: 40}
-	res := (&Runner{Workers: 1, CheckpointDir: dir, CheckpointEvery: 200}).Run([]Job{clean}).Results[0]
-	if res.Resumed {
-		t.Fatal("resumed from a corrupt checkpoint")
+			var log strings.Builder
+			clean := Job{Name: "c", Arch: "arm", Workload: "gsm/dec", N: 40}
+			res := (&Runner{Workers: 1, CheckpointDir: dir, CheckpointEvery: 200, Log: &log}).Run([]Job{clean}).Results[0]
+			if res.Resumed {
+				t.Fatal("resumed from an unusable checkpoint")
+			}
+			checkOK(t, res)
+			if !strings.Contains(log.String(), tc.log) {
+				t.Fatalf("log lacks %q:\n%s", tc.log, log.String())
+			}
+		})
 	}
-	checkOK(t, res)
-}
-
-// Checkpoints written by older builds as whole `.ckpt` files must
-// still resume when the store holds nothing for the job.
-func TestLegacyCkptFileStillResumes(t *testing.T) {
-	dir := t.TempDir()
-	job := Job{Name: "lg", Arch: "arm", Workload: "gsm/dec", N: 40, PanicAt: 800}
-	r := &Runner{Workers: 1, CheckpointDir: dir, CheckpointEvery: 200}
-	if got := r.Run([]Job{job}).Results[0]; got.Status != StatusPanic {
-		t.Fatalf("setup run: status %q", got.Status)
-	}
-	// Convert the stored checkpoint into the legacy layout by hand:
-	// the store record's bytes ARE the legacy file format.
-	clean := Job{Name: "lg", Arch: "arm", Workload: "gsm/dec", N: 40}
-	clean.fill()
-	st, err := r.checkpointStore()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, rec, err := st.Latest("lg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !IsCheckpoint(rec) {
-		t.Fatal("stored record is not a checkpoint")
-	}
-	if err := st.DeleteRun("lg"); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "lg.ckpt"), rec, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	res := (&Runner{Workers: 1, CheckpointDir: dir, CheckpointEvery: 200}).Run([]Job{clean}).Results[0]
-	if !res.Resumed {
-		t.Fatal("legacy .ckpt file did not resume")
-	}
-	checkOK(t, res)
 }
 
 // TestMixJobs checks the standard job set covers every workload on

@@ -6,7 +6,7 @@ import "testing"
 // the director machinery itself (the efficiency discussion in
 // EXPERIMENTS.md). Each model is benchmarked under the default
 // event-driven scheduler and under the reference Figure 3 scan
-// (Director.Scan), so the scheduling overhead of each shows up
+// (EngineScan), so the scheduling overhead of each shows up
 // side by side.
 
 // benchPipeline builds a saturated 5-stage ring: 6 machines, ~6
@@ -71,7 +71,7 @@ func BenchmarkDirectorStepPipeline(b *testing.B) {
 
 func BenchmarkDirectorStepPipelineScan(b *testing.B) {
 	d := benchPipeline()
-	d.Scan = true
+	d.Engine = EngineScan
 	benchSteps(b, d)
 }
 
@@ -80,7 +80,7 @@ func BenchmarkDirectorStepPipelineScan(b *testing.B) {
 // compare the two schedulers by name.
 func BenchmarkDirectorStepEventDriven(b *testing.B) {
 	d := benchPipeline()
-	d.Scan = false
+	d.Engine = EngineEvent
 	benchSteps(b, d)
 }
 
@@ -113,13 +113,13 @@ func BenchmarkDirectorStepIdle(b *testing.B) {
 
 func BenchmarkDirectorStepIdleScan(b *testing.B) {
 	d := benchIdle()
-	d.Scan = true
+	d.Engine = EngineScan
 	benchSteps(b, d)
 }
 
 func BenchmarkDirectorStepEventDrivenIdle(b *testing.B) {
 	d := benchIdle()
-	d.Scan = false
+	d.Engine = EngineEvent
 	benchSteps(b, d)
 }
 

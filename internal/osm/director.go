@@ -78,25 +78,13 @@ type Director struct {
 	// pipeline); the director aborts with ErrDeadlock when one is
 	// found.
 	CheckDeadlock bool
-	// Scan selects the reference scan scheduler, which re-ranks and
-	// re-evaluates every machine each control step exactly as written
-	// in the paper's Figure 3. The default is the event-driven
-	// scheduler (director_event.go), which produces the identical
-	// transition schedule — the differential tests in
-	// internal/experiments check this trace-for-trace — while skipping
-	// machines whose blocking resources did not change. The
-	// event-driven scheduler requires the default age-based ranking;
-	// installing a custom Rank falls back to the scan scheduler
-	// automatically. Choose the scheduler before the first Step.
-	//
-	// Scan is the legacy form of Engine = EngineScan and takes
-	// precedence over the Engine field when set.
-	Scan bool
 	// Engine selects the execution engine (see the Engine type):
-	// event-driven (default), reference scan, or compiled guard
-	// programs. EngineCompiled compiles the model lazily on the first
-	// step; a compile error aborts that Step. The Scan field and a
-	// custom Rank both force EngineScan. Choose the engine before the
+	// event-driven (default), the reference Figure 3 scan, compiled
+	// guard programs or generated edge functions. All produce the
+	// identical transition schedule. EngineCompiled compiles the model
+	// lazily on the first step; a compile error aborts that Step. The
+	// event-driven engines require the default age-based ranking, so a
+	// custom Rank forces EngineScan. Choose the engine before the
 	// first Step.
 	Engine Engine
 	// Check, if non-nil, runs at the end of every control step,
@@ -184,7 +172,7 @@ func (d *Director) StepCount() uint64 { return d.step }
 // Two scheduler implementations produce this schedule: the reference
 // scan (Figure 3 verbatim) and the default event-driven scheduler,
 // which skips machines whose blocking resources did not change. See
-// the Scan field.
+// the Engine field.
 func (d *Director) Step() error {
 	if d.engine() == EngineScan {
 		return d.stepScan()
@@ -382,7 +370,7 @@ func (d *Director) stepScan() error {
 
 // EventDriven reports whether an event-driven scheduler serves the
 // director's steps — the default engine and the compiled engine both
-// do (see Scan and Engine; a custom Rank forces the scan).
+// do (see Engine; a custom Rank forces the scan).
 func (d *Director) EventDriven() bool { return d.engine() != EngineScan }
 
 // WillEvaluate reports whether machine m is queued for evaluation at

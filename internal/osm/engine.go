@@ -73,12 +73,11 @@ func ParseEngine(s string) (Engine, error) {
 	return EngineEvent, fmt.Errorf("osm: unknown engine %q (want scan, event, compiled or generated)", s)
 }
 
-// engine resolves the effective engine for the next step: the legacy
-// Scan flag and a custom Rank both force the reference scan (the
-// event-driven schedulers require age-based ranking), otherwise the
-// Engine field decides.
+// engine resolves the effective engine for the next step: a custom
+// Rank forces the reference scan (the event-driven schedulers require
+// age-based ranking), otherwise the Engine field decides.
 func (d *Director) engine() Engine {
-	if d.Scan || d.Rank != nil {
+	if d.Rank != nil {
 		return EngineScan
 	}
 	return d.Engine

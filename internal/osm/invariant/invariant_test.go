@@ -29,7 +29,9 @@ func pipeline(n int) (*osm.Director, []*osm.Machine) {
 func TestCleanModelNoViolations(t *testing.T) {
 	for _, scan := range []bool{false, true} {
 		d, _ := pipeline(3)
-		d.Scan = scan
+		if scan {
+			d.Engine = osm.EngineScan
+		}
 		c := invariant.Attach(d)
 		for s := 0; s < 200; s++ {
 			if err := d.Step(); err != nil {
@@ -184,7 +186,7 @@ func TestScheduleViolationOnMissedWake(t *testing.T) {
 	}
 
 	// The scan scheduler evaluates everyone each step, so the same
-	// model under Scan commits the edge instead of violating.
+	// model under EngineScan commits the edge instead of violating.
 	d2 := osm.NewDirector()
 	gate2 := &mute{BaseManager: osm.BaseManager{ManagerName: "gate"}}
 	i2, f2 := osm.NewState("I"), osm.NewState("F")
@@ -192,7 +194,7 @@ func TestScheduleViolationOnMissedWake(t *testing.T) {
 	d2.AddManager(gate2)
 	m2 := osm.NewMachine("op0", i2)
 	d2.AddMachine(m2)
-	d2.Scan = true
+	d2.Engine = osm.EngineScan
 	invariant.Attach(d2)
 	if err := d2.Step(); err != nil {
 		t.Fatal(err)

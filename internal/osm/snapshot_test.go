@@ -257,20 +257,21 @@ func TestSnapshotRestoreResumesSchedule(t *testing.T) {
 	for _, scan := range []bool{true, false} {
 		build := func() (*Director, *Recorder) {
 			d, _, _ := twoStage(2)
+			if scan {
+				d.Engine = EngineScan
+			}
 			rec := NewRecorder()
 			d.Tracer = rec
 			return d, rec
 		}
 		ref, refRec := build()
 		for i := 0; i < 20; i++ {
-			ref.Scan = scan
 			if err := ref.Step(); err != nil {
 				t.Fatal(err)
 			}
 		}
 
 		src, _ := build()
-		src.Scan = scan
 		for i := 0; i < 9; i++ {
 			if err := src.Step(); err != nil {
 				t.Fatal(err)
@@ -281,7 +282,6 @@ func TestSnapshotRestoreResumesSchedule(t *testing.T) {
 			t.Fatalf("scan=%v: %v", scan, err)
 		}
 		dst, dstRec := build()
-		dst.Scan = scan
 		if err := dst.Restore(snap.NewReader(w.Bytes())); err != nil {
 			t.Fatalf("scan=%v: %v", scan, err)
 		}

@@ -56,9 +56,6 @@ type Spec struct {
 	MaxCycles uint64 `json:"max_cycles,omitempty"`
 	// Perfect disables caches and TLBs.
 	Perfect bool `json:"perfect,omitempty"`
-	// Scan selects the reference scan scheduler on OSM targets. It is
-	// the legacy form of Engine = "scan" and takes precedence.
-	Scan bool `json:"scan,omitempty"`
 	// Engine selects the execution engine on OSM targets: "event"
 	// (default), "scan", "compiled" (guard programs compiled by
 	// osm/compile, executed without interface dispatch) or "generated"
@@ -94,19 +91,6 @@ func knownTarget(t string) bool {
 // therefore has selectable execution engines).
 func (s *Spec) isOSM() bool { return s.Target == "strongarm" || s.Target == "ppc750" }
 
-// engine resolves the spec's engine selection, folding the legacy
-// Scan flag in.
-func (s *Spec) engine() (osm.Engine, error) {
-	eng, err := osm.ParseEngine(s.Engine)
-	if err != nil {
-		return osm.EngineEvent, err
-	}
-	if s.Scan {
-		eng = osm.EngineScan
-	}
-	return eng, nil
-}
-
 // Validate checks the spec for a known target and an unambiguous
 // program source. The error is a single line suitable for CLI and
 // HTTP error surfaces.
@@ -114,7 +98,7 @@ func (s *Spec) Validate() error {
 	if !knownTarget(s.Target) {
 		return fmt.Errorf("unknown target %q (want one of %s)", s.Target, strings.Join(Targets, ", "))
 	}
-	if _, err := s.engine(); err != nil {
+	if _, err := osm.ParseEngine(s.Engine); err != nil {
 		return err
 	}
 	if s.Engine != "" && !s.isOSM() {
@@ -425,7 +409,7 @@ func New(spec Spec) (*Instance, error) {
 	}
 	switch spec.Target {
 	case "strongarm":
-		eng, _ := spec.engine()
+		eng, _ := osm.ParseEngine(spec.Engine)
 		s, err := strongarm.New(armProg, strongarm.Config{Hier: spec.hier(), Engine: eng})
 		if err != nil {
 			return nil, err
@@ -464,7 +448,7 @@ func New(spec Spec) (*Instance, error) {
 			readMem: ramReader(s.ISS.RAM),
 		}, nil
 	case "ppc750":
-		eng, _ := spec.engine()
+		eng, _ := osm.ParseEngine(spec.Engine)
 		s, err := ppc750.New(ppcProg, ppc750.Config{Hier: spec.hier(), Engine: eng})
 		if err != nil {
 			return nil, err
@@ -557,7 +541,7 @@ func Run(spec Spec, opts RunOptions) (Result, error) {
 	}
 	switch spec.Target {
 	case "strongarm":
-		eng, _ := spec.engine()
+		eng, _ := osm.ParseEngine(spec.Engine)
 		s, err := strongarm.New(armProg, strongarm.Config{Hier: spec.hier(), Engine: eng})
 		if err != nil {
 			return Result{}, err
@@ -597,7 +581,7 @@ func Run(spec Spec, opts RunOptions) (Result, error) {
 			Extra: map[string]string{"CPI": fmt.Sprintf("%.3f", st.CPI())},
 		}, nil
 	case "ppc750":
-		eng, _ := spec.engine()
+		eng, _ := osm.ParseEngine(spec.Engine)
 		s, err := ppc750.New(ppcProg, ppc750.Config{Hier: spec.hier(), Engine: eng})
 		if err != nil {
 			return Result{}, err

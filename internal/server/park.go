@@ -2,7 +2,6 @@ package server
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"os"
@@ -27,21 +26,16 @@ import (
 //	chunks/, runs/    the store's content-addressed chunk files and
 //	                  per-run indexes
 //
-// Metadata is written atomically (temp file + rename) so a concurrent
-// reader never observes a torn park. Store chunks left unreferenced
-// after a park is consumed are reclaimed by ParkGC (`osmstore gc` or
-// the janitor hook) — the fix for the former "blobs are never deleted
-// here" leak. Parks written by older builds as whole
-// `<checksum>.snap` blobs still load, and GC treats a .park reference
-// as a root for the legacy blob it names.
+// Metadata is written with store.WriteFileAtomic (temp file + rename)
+// so a concurrent reader never observes a torn park. Store chunks left
+// unreferenced after a park is consumed, and temp files a crash left
+// behind, are reclaimed by ParkGC (`osmstore gc` or the janitor hook).
 
 // ParkMeta is the parked-session metadata record.
 type ParkMeta struct {
 	ID string `json:"id"`
 	// Checksum is the 64-bit FNV-1a digest of the snapshot blob,
-	// formatted %016x. Legacy parks also use it as the whole-blob
-	// filename stem; store-backed parks verify the reassembled blob
-	// against it.
+	// formatted %016x; the reassembled blob is verified against it.
 	Checksum string `json:"checksum"`
 	Target   string `json:"target"`
 	Cycle    uint64 `json:"cycle"`
@@ -54,9 +48,6 @@ type ParkMeta struct {
 
 // ParkMetaPath returns the metadata path for a session id.
 func ParkMetaPath(dir, id string) string { return filepath.Join(dir, id+".park") }
-
-// ParkBlobPath returns the legacy whole-blob path for a checksum.
-func ParkBlobPath(dir, checksum string) string { return filepath.Join(dir, checksum+".snap") }
 
 // BlobChecksum returns the content name of a snapshot blob: its
 // 64-bit FNV-1a digest formatted %016x.
@@ -85,27 +76,20 @@ func ReadParkMeta(dir, id string) (ParkMeta, error) {
 
 // LoadPark reads a parked session's metadata and blob, verifying the
 // blob against its recorded checksum. The blob comes from the chunk
-// store; parks written by older builds fall back to the legacy
-// whole-blob file. A missing park returns os.ErrNotExist (wrapped),
-// so callers can distinguish "never parked" from damage.
+// store. A missing park metadata file returns os.ErrNotExist
+// (wrapped), so callers can distinguish "never parked" from damage.
 func LoadPark(dir, id string) (ParkMeta, []byte, error) {
 	meta, err := ReadParkMeta(dir, id)
 	if err != nil {
 		return ParkMeta{}, nil, err
 	}
-	var blob []byte
 	st, err := store.Open(dir, store.Options{})
-	if err == nil {
-		blob, err = st.Get(id, meta.Cycle)
-	}
 	if err != nil {
-		if !errors.Is(err, store.ErrNotFound) && !os.IsNotExist(err) {
-			return ParkMeta{}, nil, fmt.Errorf("park blob for %s: %w", id, err)
-		}
-		blob, err = os.ReadFile(ParkBlobPath(dir, meta.Checksum))
-		if err != nil {
-			return ParkMeta{}, nil, fmt.Errorf("park blob for %s: %w", id, err)
-		}
+		return ParkMeta{}, nil, err
+	}
+	blob, err := st.Get(id, meta.Cycle)
+	if err != nil {
+		return ParkMeta{}, nil, fmt.Errorf("park blob for %s: %w", id, err)
 	}
 	if got := BlobChecksum(blob); got != meta.Checksum {
 		return ParkMeta{}, nil, fmt.Errorf("park blob for %s: checksum %s, content named %s", id, got, meta.Checksum)
@@ -125,24 +109,6 @@ func ConsumePark(dir, id string) error {
 		}
 	}
 	return os.Remove(ParkMetaPath(dir, id))
-}
-
-// writeAtomic writes data at path via a temp file + rename.
-func writeAtomic(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".park-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }
 
 // parkStore lazily opens the chunk store rooted at ParkDir.
@@ -185,7 +151,7 @@ func (m *Manager) park(s *Session) error {
 	if err != nil {
 		return err
 	}
-	if err := writeAtomic(ParkMetaPath(m.cfg.ParkDir, s.ID), raw); err != nil {
+	if err := store.WriteFileAtomic(ParkMetaPath(m.cfg.ParkDir, s.ID), raw); err != nil {
 		return err
 	}
 	m.Metrics.SessionsParked.Add(1)
@@ -201,9 +167,9 @@ func (m *Manager) park(s *Session) error {
 const ParkGCGrace = time.Minute
 
 // ParkGC sweeps the ParkDir store: chunks no park references anymore
-// (because ConsumePark dropped their run) and legacy whole-blob files
-// no .park metadata names are removed. The janitor calls this
-// periodically; `osmstore gc` is the manual form.
+// (because ConsumePark dropped their run) and stale temp files are
+// removed. The janitor calls this periodically; `osmstore gc` is the
+// manual form.
 func (m *Manager) ParkGC(grace time.Duration) (store.GCStats, error) {
 	if m.cfg.ParkDir == "" {
 		return store.GCStats{}, nil
@@ -216,9 +182,9 @@ func (m *Manager) ParkGC(grace time.Duration) (store.GCStats, error) {
 	if err != nil {
 		return stats, err
 	}
-	if stats.SweptChunks > 0 || stats.SweptLegacy > 0 {
-		m.logf("park gc: swept %d chunks (%d bytes) and %d legacy blobs, %d live chunks",
-			stats.SweptChunks, stats.SweptBytes, stats.SweptLegacy, stats.LiveChunks)
+	if stats.SweptChunks > 0 || stats.SweptTemps > 0 {
+		m.logf("park gc: swept %d chunks (%d bytes) and %d temp files, %d live chunks",
+			stats.SweptChunks, stats.SweptBytes, stats.SweptTemps, stats.LiveChunks)
 	}
 	return stats, nil
 }

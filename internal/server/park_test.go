@@ -45,9 +45,18 @@ func TestParkStoreRoundTripByteIdentity(t *testing.T) {
 	if meta.Cycle != cycle || meta.Target != "strongarm" || meta.TraceLimit != 128 {
 		t.Fatalf("park metadata = %+v", meta)
 	}
-	// The blob must live in the store, not as a legacy whole-blob file.
-	if _, err := os.Stat(ParkBlobPath(dir, meta.Checksum)); !os.IsNotExist(err) {
-		t.Fatal("park wrote a legacy whole-blob file")
+	// The park is its metadata plus the store's chunks/ and runs/:
+	// no whole-blob file, no leftover temp file.
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, de := range des {
+		names = append(names, de.Name())
+	}
+	if want := []string{"chunks", "runs", s.ID + ".park"}; strings.Join(names, " ") != strings.Join(want, " ") {
+		t.Fatalf("park dir holds %v, want %v", names, want)
 	}
 
 	// Restoring the parked blob into a fresh session continues the
@@ -111,7 +120,7 @@ func TestParkGCAfterConsumeLeavesNothingUnreferenced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.SweptChunks != 0 || stats.SweptLegacy != 0 || stats.KeptRecent != 0 {
+	if stats.SweptChunks != 0 || stats.SweptTemps != 0 || stats.KeptRecent != 0 {
 		t.Fatalf("unreferenced files remain after gc: %+v", stats)
 	}
 	st, err := store.Open(dir, store.Options{})
@@ -122,72 +131,8 @@ func TestParkGCAfterConsumeLeavesNothingUnreferenced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sstat.Runs != 1 || sstat.LegacyBlobs != 0 {
+	if sstat.Runs != 1 {
 		t.Fatalf("store not clean: %+v", sstat)
-	}
-}
-
-// Parks written by older builds — whole `<checksum>.snap` blob plus
-// `.park` metadata — must still load, and GC must keep the blob while
-// its park is live.
-func TestLegacyWholeBlobParkStillLoads(t *testing.T) {
-	dir := t.TempDir()
-	m := NewManager(Config{IdleTimeout: -1, ParkDir: dir})
-	defer m.Close()
-
-	s, err := m.Create(runner.Spec{Target: "strongarm", Workload: "dsp/fir", N: 40}, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Step(s, 1500, time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.park(s); err != nil {
-		t.Fatal(err)
-	}
-	// Convert the store-backed park into the legacy layout by hand.
-	meta, blob, err := LoadPark(dir, s.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := store.Open(dir, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.DeleteRun(s.ID); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.GC(store.GCOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(ParkBlobPath(dir, meta.Checksum), blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	meta2, blob2, err := LoadPark(dir, s.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(blob, blob2) || meta2.Checksum != meta.Checksum {
-		t.Fatal("legacy park load differs")
-	}
-	// GC keeps the referenced legacy blob.
-	if _, err := m.ParkGC(0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(ParkBlobPath(dir, meta.Checksum)); err != nil {
-		t.Fatal("gc removed a referenced legacy blob")
-	}
-	// Consume the park; now the sweep reclaims the legacy blob too.
-	if err := ConsumePark(dir, s.ID); err != nil {
-		t.Fatal(err)
-	}
-	stats, err := m.ParkGC(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.SweptLegacy != 1 {
-		t.Fatalf("legacy blob not swept: %+v", stats)
 	}
 }
 
@@ -303,15 +248,9 @@ func TestJanitorParksIntoStore(t *testing.T) {
 	if _, _, err := LoadPark(dir, id); err != nil {
 		t.Fatal(err)
 	}
-	// The store, not the legacy layout, holds the blob.
+	// The store holds the blob.
 	entries, err := os.ReadDir(filepath.Join(dir, "chunks"))
 	if err != nil || len(entries) == 0 {
 		t.Fatalf("no chunk shards written: %v", err)
-	}
-	des, _ := os.ReadDir(dir)
-	for _, de := range des {
-		if strings.HasSuffix(de.Name(), ".snap") {
-			t.Fatalf("legacy blob %s written", de.Name())
-		}
 	}
 }

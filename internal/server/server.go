@@ -698,13 +698,12 @@ func (s *Session) touch() {
 // appends the session's Recorder state (whole-run trace totals,
 // checksum and retained window), so a session migrated between
 // workers — or parked and resurrected — keeps its full-run trace
-// checksum, not just the tail after the hop. Version-1 blobs still
-// restore (the trace restarts, as it always did).
+// checksum, not just the tail after the hop. Version-1 blobs are
+// refused by the version check.
 const (
 	sessHeader     = "osmserve-session"
 	sessVersion    = 2
-	sessVersionV1  = 1
-	sessFlagTracer = 1 // v2: recorder state present
+	sessFlagTracer = 1 // recorder state present
 )
 
 // Snapshot encodes the session's full simulation state in the
@@ -741,15 +740,14 @@ func (m *Manager) snapshotLocked(s *Session) ([]byte, uint64, error) {
 }
 
 // SessionSnapshot is the decoded form of the session-snapshot wire
-// format: the target-bound simulator blob plus (v2) the recorder
-// state.
+// format: the target-bound simulator blob plus the recorder state.
 type SessionSnapshot struct {
 	Target string
 	Cycle  uint64
 	Blob   []byte
 	// Tracer is a reader over the recorder state, nil when the
-	// snapshot carries none (v1, or flag unset). Blob and Tracer
-	// alias the input data.
+	// snapshot's flag says it carries none. Blob and Tracer alias the
+	// input data.
 	Tracer *snap.Reader
 }
 
@@ -763,18 +761,14 @@ func DecodeSessionSnapshot(data []byte) (SessionSnapshot, error) {
 	if r.U32() != snap.Magic || r.String() != sessHeader {
 		return ss, errors.New("not an osmserve session snapshot")
 	}
-	version := r.U16()
-	if version != sessVersion && version != sessVersionV1 {
-		return ss, fmt.Errorf("session snapshot version %d, this build reads %d and %d",
-			version, sessVersionV1, sessVersion)
+	if version := r.U16(); version != sessVersion {
+		return ss, fmt.Errorf("session snapshot version %d, this build reads %d", version, sessVersion)
 	}
 	ss.Target = r.String()
 	ss.Cycle = r.U64()
 	ss.Blob = r.Bytes32()
-	if version >= 2 {
-		if flags := r.U8(); flags&sessFlagTracer != 0 {
-			ss.Tracer = r.Blob()
-		}
+	if flags := r.U8(); flags&sessFlagTracer != 0 {
+		ss.Tracer = r.Blob()
 	}
 	if err := r.Err(); err != nil {
 		return SessionSnapshot{}, err
@@ -791,9 +785,9 @@ func IsSessionSnapshot(data []byte) bool {
 
 // Restore replaces the session's simulation state from an uploaded
 // snapshot. The session returns to the paused state (or effectively
-// done, discovered on the next step). A v2 snapshot carries the
+// done, discovered on the next step). The snapshot carries the
 // originating session's trace state and restores it — migration does
-// not reset the whole-run checksum; a v1 snapshot restarts the trace.
+// not reset the whole-run checksum.
 func (m *Manager) Restore(s *Session, data []byte) (uint64, error) {
 	ss, err := DecodeSessionSnapshot(data)
 	if err != nil {

@@ -443,6 +443,23 @@ func TestLifecycleAndValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("garbage restore: status %d", resp.StatusCode)
 	}
+	// A version-1 session snapshot (no recorder state) → 409 naming
+	// the version, not a silent restore that drops the trace.
+	ss, err := DecodeSessionSnapshot(wrapped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := snap.NewWriter()
+	w.U32(snap.Magic)
+	w.String(sessHeader)
+	w.Version(1)
+	w.String(ss.Target)
+	w.U64(ss.Cycle)
+	w.Bytes32(ss.Blob)
+	resp, data = cl.do("POST", "/v1/sessions/"+arm.ID+"/restore", w.Bytes(), "application/octet-stream")
+	if resp.StatusCode != http.StatusConflict || !bytes.Contains(data, []byte("version 1, this build reads 2")) {
+		t.Fatalf("v1 restore: status %d: %s", resp.StatusCode, data)
+	}
 	cl.step(arm.ID, 10)
 }
 
@@ -718,7 +735,7 @@ func TestEngineSelectionOverHTTP(t *testing.T) {
 	for _, spec := range diffSpecs {
 		ref := cl.create(spec)
 		refFinal := cl.stepToDone(ref.ID, 10_000)
-		for _, engine := range []string{"compiled", "generated"} {
+		for _, engine := range []string{"scan", "compiled", "generated"} {
 			body := fmt.Sprintf(`{"target":%q,"workload":%q,"n":%d,"engine":%q}`,
 				spec.Target, spec.Workload, spec.N, engine)
 			resp, data := cl.do("POST", "/v1/sessions", []byte(body), "application/json")
@@ -738,14 +755,13 @@ func TestEngineSelectionOverHTTP(t *testing.T) {
 			}
 		}
 	}
-	resp, data := cl.do("POST", "/v1/sessions",
-		[]byte(`{"target":"strongarm","workload":"gsm/dec","n":10,"engine":"vliw"}`), "application/json")
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad engine: status %d: %s", resp.StatusCode, data)
-	}
-	resp, data = cl.do("POST", "/v1/sessions",
-		[]byte(`{"target":"arm-iss","workload":"gsm/dec","n":10,"engine":"compiled"}`), "application/json")
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("engine on non-OSM target: status %d: %s", resp.StatusCode, data)
+	for _, body := range []string{
+		`{"target":"strongarm","workload":"gsm/dec","n":10,"engine":"vliw"}`,   // unknown engine
+		`{"target":"arm-iss","workload":"gsm/dec","n":10,"engine":"compiled"}`, // no OSM director
+		`{"target":"strongarm","workload":"gsm/dec","n":10,"scan":true}`,       // retired selector
+	} {
+		if resp, data := cl.do("POST", "/v1/sessions", []byte(body), "application/json"); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400: %s", body, resp.StatusCode, data)
+		}
 	}
 }

@@ -21,8 +21,8 @@ type ChunkRef struct {
 }
 
 // maxChunkLen caps a single chunk. It bounds what a hostile index can
-// make the decoder allocate, and is far above any size the chunkers
-// produce (max 4× the configured chunk size).
+// make the decoder allocate, and is also the largest chunk size Open
+// accepts.
 const maxChunkLen = 1 << 24
 
 // Chunk-file codec bytes. A chunk file is one codec byte followed by
@@ -48,8 +48,7 @@ func chunkPath(root string, ref ChunkRef) string {
 
 // splitFixed cuts data into fixed-size chunks. Adjacent snapshots of
 // the same run are position-stable (same layout, a few changed pages),
-// so fixed boundaries already dedup the unchanged chunks; this is the
-// default chunker.
+// so fixed boundaries already dedup the unchanged chunks.
 func splitFixed(data []byte, size int) []ChunkRef {
 	refs := make([]ChunkRef, 0, len(data)/size+1)
 	for len(data) > 0 {
@@ -63,76 +62,12 @@ func splitFixed(data []byte, size int) []ChunkRef {
 	return refs
 }
 
-// Content-defined chunking: a buzhash (cyclic-polynomial rolling hash)
-// over a sliding window, cutting where the hash matches a mask. Insert
-// or delete a byte and only the chunks around the edit change —
-// useful for append-mostly blobs where fixed boundaries shift.
-const buzWindow = 64
-
-// buzTable maps each byte to a pseudorandom 64-bit value. Generated
-// deterministically from a fixed seed by splitmix64 so every build
-// chunks identically (chunk identity is part of the on-disk format).
-var buzTable = func() [256]uint64 {
-	var t [256]uint64
-	x := uint64(0x6f736d73746f7265) // "osmstore"
-	for i := range t {
-		x += 0x9e3779b97f4a7c15
-		z := x
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		t[i] = z ^ (z >> 31)
-	}
-	return t
-}()
-
-func rotl(v uint64, n uint) uint64 { return v<<n | v>>(64-n) }
-
-// splitRolling cuts data at content-defined boundaries averaging
-// roughly size bytes: cut when the rolling hash's low bits are all
-// set, never before size/2 or after 4×size.
-func splitRolling(data []byte, size int) []ChunkRef {
-	// The mask needs a power of two; round size up so the average
-	// chunk is at least the configured size.
-	mask := uint64(1)
-	for int(mask) < size {
-		mask <<= 1
-	}
-	mask--
-	min, max := size/2, 4*size
-	if min < buzWindow {
-		min = buzWindow
-	}
-
-	refs := make([]ChunkRef, 0, len(data)/size+1)
-	start := 0
-	var h uint64
-	for i := 0; i < len(data); i++ {
-		h = rotl(h, 1) ^ buzTable[data[i]]
-		if i-start+1 >= buzWindow {
-			if i-start+1 > buzWindow {
-				h ^= rotl(buzTable[data[i-buzWindow]], buzWindow)
-			}
-			n := i - start + 1
-			if (n >= min && h&mask == mask) || n >= max {
-				refs = append(refs, ChunkRef{Sum: chunkSum(data[start : i+1]), Len: uint32(n)})
-				start = i + 1
-				h = 0
-			}
-		}
-	}
-	if start < len(data) || len(data) == 0 {
-		rest := data[start:]
-		refs = append(refs, ChunkRef{Sum: chunkSum(rest), Len: uint32(len(rest))})
-	}
-	return refs
-}
-
 // encodeChunk produces the chunk-file bytes for raw: a codec byte and
 // a payload. The flate stage only wins when it actually shrinks the
 // chunk — incompressible chunks stay raw, so the encode never costs
 // more than one byte of overhead.
-func encodeChunk(raw []byte, noCompress bool) []byte {
-	if !noCompress && len(raw) > 0 {
+func encodeChunk(raw []byte) []byte {
+	if len(raw) > 0 {
 		var buf bytes.Buffer
 		buf.WriteByte(codecFlate)
 		zw, _ := flate.NewWriter(&buf, flate.BestSpeed)

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -24,28 +23,25 @@ type GCStats struct {
 	LiveChunks  int   // chunk files referenced by some index
 	SweptChunks int   // unreferenced chunk files removed
 	SweptBytes  int64 // their on-disk bytes
-	SweptLegacy int   // unreferenced whole-blob .snap files removed
-	LegacyBytes int64 // their on-disk bytes
+	SweptTemps  int   // temp files a crashed WriteFileAtomic left behind
 	KeptRecent  int   // unreferenced files spared by the grace window
 }
 
-// GC removes every chunk file no run index references and every
-// legacy whole-blob `.snap` file no `.park` metadata references —
-// reference-counted sweep with the indexes and park metadata as the
-// roots. This is what stops a long-lived worker's park directory
-// growing without bound.
+// GC removes every chunk file no run index references — a
+// reference-counted sweep with the indexes as the roots — and every
+// temp file an interrupted WriteFileAtomic left in the root, runs/ or
+// a chunk shard. This is what stops a long-lived worker's park
+// directory growing without bound.
 //
 // Safety rules:
 //   - A corrupt or unreadable index aborts the sweep. Its references
 //     are unknown, so nothing can be proven dead.
-//   - An unreadable .park file aborts for the same reason.
 //   - Files younger than Grace are kept regardless (see GCOptions).
 func (s *Store) GC(o GCOptions) (GCStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var st GCStats
 
-	// Roots, pass 1: every chunk referenced by any run index.
 	runs, err := s.runsLocked()
 	if err != nil {
 		return st, err
@@ -60,33 +56,6 @@ func (s *Store) GC(o GCOptions) (GCStats, error) {
 			for _, c := range e.Chunks {
 				liveChunks[c] = true
 			}
-		}
-	}
-
-	// Roots, pass 2: every legacy blob named by a .park metadata file.
-	// The store does not own the park format; the one field it needs
-	// is the content checksum, which is stable JSON.
-	liveLegacy := make(map[string]bool)
-	des, err := os.ReadDir(s.root)
-	if err != nil {
-		return st, err
-	}
-	for _, de := range des {
-		if de.IsDir() || !strings.HasSuffix(de.Name(), ".park") {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(s.root, de.Name()))
-		if err != nil {
-			return st, fmt.Errorf("store gc: %s unreadable, aborting sweep: %w", de.Name(), err)
-		}
-		var meta struct {
-			Checksum string `json:"checksum"`
-		}
-		if err := json.Unmarshal(data, &meta); err != nil {
-			return st, fmt.Errorf("store gc: %s unparsable, aborting sweep: %w", de.Name(), err)
-		}
-		if meta.Checksum != "" {
-			liveLegacy[meta.Checksum] = true
 		}
 	}
 
@@ -125,35 +94,37 @@ func (s *Store) GC(o GCOptions) (GCStats, error) {
 		return st, err
 	}
 
-	// Sweep legacy whole-blob files and stale temp files.
-	for _, de := range des {
-		if de.IsDir() {
-			continue
+	// Sweep stale temp files wherever WriteFileAtomic creates them:
+	// the root (park metadata), runs/ and every chunk shard.
+	dirs := []string{s.root, filepath.Join(s.root, runsDirName)}
+	chunksDir := filepath.Join(s.root, chunksDirName)
+	shards, err := os.ReadDir(chunksDir)
+	if err != nil {
+		return st, err
+	}
+	for _, shard := range shards {
+		if shard.IsDir() {
+			dirs = append(dirs, filepath.Join(chunksDir, shard.Name()))
 		}
-		name := de.Name()
-		isTmp := strings.HasPrefix(name, ".tmp-")
-		stem, isSnap := strings.CutSuffix(name, ".snap")
-		if !isSnap && !isTmp {
-			continue
-		}
-		if isSnap && liveLegacy[stem] {
-			continue
-		}
-		path := filepath.Join(s.root, name)
-		if recent(path) {
-			st.KeptRecent++
-			continue
-		}
-		var size int64
-		if info, err := de.Info(); err == nil {
-			size = info.Size()
-		}
-		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+	}
+	for _, dir := range dirs {
+		des, err := os.ReadDir(dir)
+		if err != nil {
 			return st, err
 		}
-		if isSnap {
-			st.SweptLegacy++
-			st.LegacyBytes += size
+		for _, de := range des {
+			if de.IsDir() || !strings.HasPrefix(de.Name(), tmpPrefix) {
+				continue
+			}
+			path := filepath.Join(dir, de.Name())
+			if recent(path) {
+				st.KeptRecent++
+				continue
+			}
+			if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+				return st, err
+			}
+			st.SweptTemps++
 		}
 	}
 	return st, nil

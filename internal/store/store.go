@@ -11,10 +11,10 @@
 // chunk against its address, the reassembled blob against the
 // whole-blob hash recorded at Put time.
 //
-// The store root doubles as the server's ParkDir: legacy
-// whole-blob `<checksum>.snap` files and `<id>.park` metadata live
-// beside the chunks/ and runs/ subdirectories, and GC treats a .park
-// reference as a root for the legacy blob it names.
+// The store root doubles as the server's ParkDir: `<id>.park`
+// metadata lives beside the chunks/ and runs/ subdirectories. The
+// store does not read it; a parked session's blob is rooted by its
+// run index like any other artifact.
 package store
 
 import (
@@ -39,19 +39,11 @@ var ErrNotFound = errors.New("store: not found")
 // Options configure a store. The zero value is the production
 // configuration.
 type Options struct {
-	// ChunkSize is the fixed chunk size (or the target average with
-	// Rolling). 0 selects the default, 4 KiB — small enough that a
-	// few changed registers don't re-store a whole RAM image, large
-	// enough that index overhead stays trivial.
+	// ChunkSize is the fixed chunk size. 0 selects the default,
+	// 4 KiB — small enough that a few changed registers don't
+	// re-store a whole RAM image, large enough that index overhead
+	// stays trivial.
 	ChunkSize int
-	// Rolling selects content-defined (rolling-hash) chunk boundaries
-	// instead of fixed offsets. Useful for append-mostly blobs where
-	// an insertion would shift every fixed boundary after it.
-	Rolling bool
-	// NoCompress disables the per-chunk flate stage; chunks are
-	// stored raw. Decode is unaffected — the codec byte in each
-	// chunk file says how to read it.
-	NoCompress bool
 }
 
 // DefaultChunkSize is the fixed chunk size when Options.ChunkSize is 0.
@@ -73,7 +65,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	if opts.ChunkSize == 0 {
 		opts.ChunkSize = DefaultChunkSize
 	}
-	if opts.ChunkSize < 64 || opts.ChunkSize > maxChunkLen/4 {
+	if opts.ChunkSize < 64 || opts.ChunkSize > maxChunkLen {
 		return nil, fmt.Errorf("store: chunk size %d out of range", opts.ChunkSize)
 	}
 	for _, sub := range []string{chunksDirName, runsDirName} {
@@ -134,12 +126,7 @@ func (s *Store) Put(run string, cycle uint64, blob []byte) (PutStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	var refs []ChunkRef
-	if s.opts.Rolling {
-		refs = splitRolling(blob, s.opts.ChunkSize)
-	} else {
-		refs = splitFixed(blob, s.opts.ChunkSize)
-	}
+	refs := splitFixed(blob, s.opts.ChunkSize)
 	st.Chunks = len(refs)
 
 	off := 0
@@ -150,8 +137,8 @@ func (s *Store) Put(run string, cycle uint64, blob []byte) (PutStats, error) {
 		if _, err := os.Stat(path); err == nil {
 			continue // content-addressed: already stored
 		}
-		file := encodeChunk(raw, s.opts.NoCompress)
-		if err := writeAtomic(path, file); err != nil {
+		file := encodeChunk(raw)
+		if err := WriteFileAtomic(path, file); err != nil {
 			return st, err
 		}
 		st.NewChunks++
@@ -174,7 +161,7 @@ func (s *Store) Put(run string, cycle uint64, blob []byte) (PutStats, error) {
 		copy(entries[i+1:], entries[i:])
 		entries[i] = e
 	}
-	return st, writeAtomic(indexPath(s.root, run), encodeIndex(run, entries))
+	return st, WriteFileAtomic(indexPath(s.root, run), encodeIndex(run, entries))
 }
 
 // get reassembles and verifies the blob for one index entry.
@@ -277,8 +264,6 @@ type Stats struct {
 	LogicalBytes int64 // sum of artifact sizes as stored blobs claim
 	Chunks       int   // chunk files on disk
 	ChunkBytes   int64 // on-disk bytes under chunks/
-	LegacyBlobs  int   // whole-blob .snap files beside the store
-	LegacyBytes  int64 // their on-disk bytes
 }
 
 // Stat walks the store and reports its shape.
@@ -305,23 +290,7 @@ func (s *Store) Stat() (Stats, error) {
 		st.Chunks++
 		st.ChunkBytes += size
 	})
-	if err != nil {
-		return st, err
-	}
-	des, err := os.ReadDir(s.root)
-	if err != nil {
-		return st, err
-	}
-	for _, de := range des {
-		if de.IsDir() || !strings.HasSuffix(de.Name(), ".snap") {
-			continue
-		}
-		if info, err := de.Info(); err == nil {
-			st.LegacyBlobs++
-			st.LegacyBytes += info.Size()
-		}
-	}
-	return st, nil
+	return st, err
 }
 
 func (s *Store) runsLocked() ([]string, error) {
@@ -367,13 +336,19 @@ func walkChunks(root string, visit func(path string, size int64)) error {
 	return nil
 }
 
-// writeAtomic writes data via a temp file and rename, so a crash
-// leaves either the old content or the new — never a torn file.
-func writeAtomic(path string, data []byte) error {
+// tmpPrefix names WriteFileAtomic's temp files; GC sweeps the ones a
+// crash left behind.
+const tmpPrefix = ".tmp-"
+
+// WriteFileAtomic writes data at path via a temp file in the same
+// directory and a rename, so a crash leaves either the old content or
+// the new — never a torn file. A temp file orphaned by a crash inside
+// a store root is removed by the next GC.
+func WriteFileAtomic(path string, data []byte) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
+	tmp, err := os.CreateTemp(filepath.Dir(path), tmpPrefix+"*")
 	if err != nil {
 		return err
 	}

@@ -46,7 +46,7 @@ func testStore(t *testing.T, opts Options) *Store {
 }
 
 func TestPutGetRoundTrip(t *testing.T) {
-	for _, opts := range []Options{{}, {Rolling: true}, {NoCompress: true}, {ChunkSize: 256}} {
+	for _, opts := range []Options{{}, {ChunkSize: 256}} {
 		s := testStore(t, opts)
 		blob := snapshotChain(1, 40_000, 7)[0]
 		if _, err := s.Put("r1", 100, blob); err != nil {
@@ -71,33 +71,31 @@ func TestPutGetRoundTrip(t *testing.T) {
 // A dedup chain of 3+ checkpoints must (a) restore every cut
 // byte-identical and (b) cost far less than storing each cut whole.
 func TestDedupChainByteIdentity(t *testing.T) {
-	for _, opts := range []Options{{}, {Rolling: true}} {
-		s := testStore(t, opts)
-		chain := snapshotChain(5, 60_000, 42)
-		var total, newBytes int64
-		for i, blob := range chain {
-			st, err := s.Put("job", uint64((i+1)*1000), blob)
-			if err != nil {
-				t.Fatal(err)
-			}
-			total += int64(len(blob))
-			newBytes += st.NewBytes
-			if i > 0 && st.NewChunks == st.Chunks {
-				t.Fatalf("rolling=%v cut %d: no chunk deduplicated against the previous checkpoint", opts.Rolling, i)
-			}
+	s := testStore(t, Options{})
+	chain := snapshotChain(5, 60_000, 42)
+	var total, newBytes int64
+	for i, blob := range chain {
+		st, err := s.Put("job", uint64((i+1)*1000), blob)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range chain {
-			got, err := s.Get("job", uint64((i+1)*1000))
-			if err != nil {
-				t.Fatalf("cut %d: %v", i, err)
-			}
-			if !bytes.Equal(got, chain[i]) {
-				t.Fatalf("rolling=%v: cut %d not byte-identical after dedup", opts.Rolling, i)
-			}
+		total += int64(len(blob))
+		newBytes += st.NewBytes
+		if i > 0 && st.NewChunks == st.Chunks {
+			t.Fatalf("cut %d: no chunk deduplicated against the previous checkpoint", i)
 		}
-		if newBytes >= total/2 {
-			t.Fatalf("rolling=%v: chain stored %d bytes for %d raw — dedup+codec bought less than 2x", opts.Rolling, newBytes, total)
+	}
+	for i := range chain {
+		got, err := s.Get("job", uint64((i+1)*1000))
+		if err != nil {
+			t.Fatalf("cut %d: %v", i, err)
 		}
+		if !bytes.Equal(got, chain[i]) {
+			t.Fatalf("cut %d not byte-identical after dedup", i)
+		}
+	}
+	if newBytes >= total/2 {
+		t.Fatalf("chain stored %d bytes for %d raw — dedup+codec bought less than 2x", newBytes, total)
 	}
 }
 
@@ -206,26 +204,54 @@ func TestGCSweepsUnreferencedChunks(t *testing.T) {
 	}
 }
 
-func TestGCHonorsParkMetadataRoots(t *testing.T) {
+// A crash between WriteFileAtomic's create and rename leaves a temp
+// file in whichever directory it was writing: the root (park
+// metadata), runs/ (indexes) or a chunk shard. GC must sweep all of
+// them, subject to the grace window.
+func TestGCSweepsStaleTempFiles(t *testing.T) {
 	s := testStore(t, Options{})
-	// A legacy whole-blob park pair, as internal/server wrote before
-	// the store existed.
-	os.WriteFile(filepath.Join(s.root, "abc123.snap"), []byte("blob"), 0o644)
-	os.WriteFile(filepath.Join(s.root, "s-1.park"), []byte(`{"checksum":"abc123"}`), 0o644)
-	os.WriteFile(filepath.Join(s.root, "orphan.snap"), []byte("dead"), 0o644)
+	if _, err := s.Put("r", 1, []byte("live")); err != nil {
+		t.Fatal(err)
+	}
+	shard := filepath.Dir(chunkPath(s.root, ChunkRef{Sum: chunkSum([]byte("live")), Len: 4}))
+	temps := []string{
+		filepath.Join(s.root, tmpPrefix+"park"),
+		filepath.Join(s.root, runsDirName, tmpPrefix+"idx"),
+		filepath.Join(shard, tmpPrefix+"chunk"),
+	}
+	for _, p := range temps {
+		if err := os.WriteFile(p, []byte("torn"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-	st, err := s.GC(GCOptions{})
+	st, err := s.GC(GCOptions{Grace: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.SweptLegacy != 1 {
-		t.Fatalf("swept %d legacy blobs, want 1", st.SweptLegacy)
+	if st.KeptRecent != len(temps) || st.SweptTemps != 0 {
+		t.Fatalf("grace window: %+v, want %d kept", st, len(temps))
 	}
-	if _, err := os.Stat(filepath.Join(s.root, "abc123.snap")); err != nil {
-		t.Fatal("GC removed a .park-referenced blob")
+	for _, p := range temps {
+		if _, err := os.Stat(p); err != nil {
+			t.Fatalf("fresh temp %s swept inside the grace window", p)
+		}
 	}
-	if _, err := os.Stat(filepath.Join(s.root, "orphan.snap")); !os.IsNotExist(err) {
-		t.Fatal("GC kept an orphaned blob")
+
+	st, err = s.GC(GCOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.SweptTemps != len(temps) || st.SweptChunks != 0 {
+		t.Fatalf("GC = %+v, want %d temps swept and no chunks", st, len(temps))
+	}
+	for _, p := range temps {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Fatalf("stale temp %s survived GC", p)
+		}
+	}
+	if got, err := s.Get("r", 1); err != nil || string(got) != "live" {
+		t.Fatalf("live run damaged by temp sweep: %q, %v", got, err)
 	}
 }
 
@@ -276,13 +302,19 @@ func TestRunsAndStat(t *testing.T) {
 	}
 }
 
+// Random bytes do not compress, so every chunk is stored with the raw
+// codec; a flipped payload byte must still fail the address check.
 func TestCorruptChunkDetected(t *testing.T) {
-	s := testStore(t, Options{NoCompress: true})
-	blob := bytes.Repeat([]byte("abcdefgh"), 1024)
+	s := testStore(t, Options{})
+	blob := make([]byte, 8192)
+	rand.New(rand.NewSource(11)).Read(blob)
 	s.Put("r", 1, blob)
 	// Flip a byte in every chunk file.
 	err := walkChunks(s.root, func(path string, size int64) {
 		data, _ := os.ReadFile(path)
+		if data[0] != codecRaw {
+			t.Errorf("%s: codec %#x, want raw for incompressible data", path, data[0])
+		}
 		data[len(data)-1] ^= 0xff
 		os.WriteFile(path, data, 0o644)
 	})
@@ -294,67 +326,17 @@ func TestCorruptChunkDetected(t *testing.T) {
 	}
 }
 
-// Rolling boundaries must localize an insertion: chunks after the
-// edit point keep their identity, so an append-mostly blob dedups.
-func TestRollingChunksSurviveInsertion(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	base := make([]byte, 200_000)
-	rng.Read(base)
-	shifted := append(append([]byte(nil), base[:50_000]...), make([]byte, 137)...)
-	shifted = append(shifted, base[50_000:]...)
-
-	a := splitRolling(base, 4096)
-	b := splitRolling(shifted, 4096)
-	set := make(map[ChunkRef]bool, len(a))
-	for _, c := range a {
-		set[c] = true
-	}
-	shared := 0
-	for _, c := range b {
-		if set[c] {
-			shared++
-		}
-	}
-	if shared < len(b)/2 {
-		t.Fatalf("insertion destroyed dedup: %d/%d chunks shared", shared, len(b))
-	}
-	// Fixed chunking, by contrast, shares nothing after the edit —
-	// that asymmetry is the reason the rolling option exists.
-	af, bf := splitFixed(base, 4096), splitFixed(shifted, 4096)
-	setF := make(map[ChunkRef]bool, len(af))
-	for _, c := range af {
-		setF[c] = true
-	}
-	sharedF := 0
-	for _, c := range bf {
-		if setF[c] {
-			sharedF++
-		}
-	}
-	if sharedF > len(bf)/4 {
-		t.Fatalf("fixed chunking unexpectedly shift-tolerant (%d/%d); test premise wrong", sharedF, len(bf))
-	}
-}
-
 func TestChunkersReassemble(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, n := range []int{0, 1, 63, 4096, 10_000, 100_000} {
 		data := make([]byte, n)
 		rng.Read(data)
-		for _, rolling := range []bool{false, true} {
-			var refs []ChunkRef
-			if rolling {
-				refs = splitRolling(data, 4096)
-			} else {
-				refs = splitFixed(data, 4096)
-			}
-			var total int
-			for _, c := range refs {
-				total += int(c.Len)
-			}
-			if total != n {
-				t.Fatalf("rolling=%v n=%d: chunks cover %d bytes", rolling, n, total)
-			}
+		var total int
+		for _, c := range splitFixed(data, 4096) {
+			total += int(c.Len)
+		}
+		if total != n {
+			t.Fatalf("n=%d: chunks cover %d bytes", n, total)
 		}
 	}
 }
